@@ -24,8 +24,9 @@ Two backends plus the worker runtime they talk to:
   small frames (a syndrome block out, top-k candidates back).
 * :class:`ShardWorkerHandler` / :class:`ShardWorkerServer` — the worker side:
   a ``submit(line) -> Future`` handler speaking the shard-worker protocol,
-  served over the existing :class:`~repro.serving.server.SocketServer`
-  thread-per-connection front-end (``stats`` control line included).
+  served over the event-loop front-end
+  :class:`~repro.serving.eventloop.AsyncSocketServer` (``stats`` control
+  line included), with scoring on a worker-owned thread pool.
 
 Shard-worker line protocol (UTF-8, one request and one response per line):
 
@@ -49,7 +50,7 @@ import os
 import socket
 import threading
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from multiprocessing import get_context, shared_memory
 from time import perf_counter
@@ -107,6 +108,12 @@ MAX_ATTACHED_SNAPSHOTS = 2
 #: never evict model B's serving snapshot), and this caps the tag count so
 #: an errant client cycling tags cannot grow a worker without bound.
 MAX_ATTACHED_MODELS = 8
+
+#: Outbound-buffer cap for a shard worker's connections.  It must exceed the
+#: largest single response (see :mod:`repro.serving.eventloop`): a ``score``
+#: result frame carries a whole float64 rows × shard-herbs block, so the cap
+#: sits far above any frame and only catches a client that never reads.
+_MAX_FRAME_BYTES = 1 << 30
 
 
 def snapshot_model_tag(key: str) -> str:
@@ -695,13 +702,15 @@ class RemoteBackend(ComputeBackend):
 class ShardWorkerHandler:
     """Speak the shard-worker line protocol; ``submit(line)`` -> ``Future``.
 
-    The ``submit`` signature matches what
-    :class:`~repro.serving.server.SocketServer` drives, so the worker reuses
-    the serving front-end unchanged (thread-per-connection, ``stats`` line,
-    graceful shutdown).  Requests execute synchronously on the connection's
-    thread — parallelism across a fleet comes from running one worker per
-    core/host.  Protocol failures answer in-band as ``error:`` lines; the
-    worker itself never dies from a bad request.
+    The ``submit`` signature is what
+    :class:`~repro.serving.eventloop.AsyncSocketServer` drives, so the worker
+    reuses the serving front-end unchanged (``stats`` line, graceful
+    shutdown).  ``ping`` is answered inline; ``snapshot``/``task``/``tasks``
+    run on the executor :class:`ShardWorkerServer` attaches, so a long batch
+    never holds the event loop and batches on different connections score in
+    parallel.  Without an executor every request runs on the caller's thread.
+    Protocol failures answer in-band as ``error:`` lines; the worker itself
+    never dies from a bad request.
     """
 
     def __init__(self, stats=None) -> None:
@@ -710,6 +719,8 @@ class ShardWorkerHandler:
         #: snapshot key -> herb-embedding matrix; bounded, latest-wins.
         self._snapshots: "OrderedDict[str, np.ndarray]" = OrderedDict()
         self.tasks_executed = 0
+        #: where snapshot/task requests run (set by ShardWorkerServer)
+        self._executor: Optional[Executor] = None
 
     @property
     def snapshot_keys(self) -> List[str]:
@@ -741,9 +752,16 @@ class ShardWorkerHandler:
             for key in [k for k in self._snapshots if snapshot_model_tag(k) == stale_tag]:
                 del self._snapshots[key]
 
-    # -- SocketServer contract -----------------------------------------
+    # -- front-end contract ---------------------------------------------
     def submit(self, line: str) -> "Future[str]":
+        # a liveness probe must never queue behind a long batch
+        if self._executor is not None and not line.startswith("ping"):
+            return self._executor.submit(self._answer, line)
         future: "Future[str]" = Future()
+        future.set_result(self._answer(line))
+        return future
+
+    def _answer(self, line: str) -> str:
         started = perf_counter()
         try:
             response = self.handle(line)
@@ -753,8 +771,7 @@ class ShardWorkerHandler:
             response = f"error: {error}"
         if self._stats is not None:
             self._stats.record_request(perf_counter() - started)
-        future.set_result(response)
-        return future
+        return response
 
     # -- protocol -------------------------------------------------------
     def handle(self, line: str) -> str:
@@ -799,14 +816,17 @@ class ShardWorkerServer:
 
     Holds no model and trains nothing: weights arrive over the wire as
     snapshots, tasks reference them by key.  Serving reuses
-    :class:`~repro.serving.server.SocketServer`, so the ``stats`` control
-    line reports request counts/latency plus the attached snapshot.
+    :class:`~repro.serving.eventloop.AsyncSocketServer`, so the ``stats``
+    control line reports request counts/latency plus the attached snapshot.
+    Snapshot and task requests score on a thread pool of
+    :func:`~repro.inference.backends.default_worker_count` threads, owned
+    here and shut down by :meth:`stop`.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, stats=None) -> None:
         # lazy import: repro.serving pulls in the api/pipeline stack, which
         # inference must not import at module load
-        from ..serving.server import SocketServer
+        from ..serving.eventloop import AdmissionController, AsyncSocketServer
         from ..serving.stats import ServerStats
 
         self.stats = stats if stats is not None else ServerStats()
@@ -818,10 +838,25 @@ class ShardWorkerServer:
                 "tasks": self.handler.tasks_executed,
             }
         )
+        self._pool = ThreadPoolExecutor(
+            max_workers=default_worker_count(), thread_name_prefix="shard-worker"
+        )
+        self.handler._executor = self._pool
+        admission = AdmissionController(
+            # RemoteBackend keeps its connection open between batches; reaping
+            # an idle one would fail the next batch
+            idle_timeout_s=None,
+            max_outbuf_bytes=_MAX_FRAME_BYTES,
+        )
         # no request-line bound: weight snapshots legitimately arrive as one
         # multi-megabyte line on this trusted, fleet-internal protocol
-        self._server = SocketServer(
-            self.handler, stats=self.stats, host=host, port=port, max_line_bytes=None
+        self._server = AsyncSocketServer(
+            self.handler,
+            stats=self.stats,
+            host=host,
+            port=port,
+            admission=admission,
+            max_line_bytes=None,
         )
 
     def start(self) -> "ShardWorkerServer":
@@ -834,6 +869,7 @@ class ShardWorkerServer:
 
     def stop(self, timeout: float = 5.0) -> None:
         self._server.stop(timeout=timeout)
+        self._pool.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "ShardWorkerServer":
         return self.start()

@@ -1,14 +1,17 @@
 """Event-loop TCP front-end: thousands of connections, one thread, explicit
 admission control.
 
-:class:`AsyncSocketServer` multiplexes every client connection onto a single
-``selectors``-based loop instead of spawning a thread per connection, and
-feeds the same :class:`~repro.serving.batcher.MicroBatcher` /
-:class:`~repro.serving.handler.RecommendationHandler` stack as the threaded
-:class:`~repro.serving.server.SocketServer` — same line protocol, same JSON
-protocol, same ``stats``/``models``/``reload``/``canary`` control lines,
-bit-identical responses.  What it adds is the production-traffic machinery,
-made explicit as an :class:`AdmissionController`:
+:class:`AsyncSocketServer` is the one TCP front-end.  It multiplexes every
+client connection onto a single ``selectors``-based loop and feeds any
+``submit(line) -> Future`` object: the
+:class:`~repro.serving.batcher.MicroBatcher` /
+:class:`~repro.serving.handler.RecommendationHandler` stack behind
+``repro serve`` (line and JSON protocol, ``stats``/``models``/``reload``/
+``canary`` control lines), or the shard-worker protocol handler behind
+``repro shard-worker``.  Request lines are bounded by ``max_line_bytes``
+(:data:`~repro.serving.server.MAX_LINE_BYTES` by default; ``None`` lifts the
+bound for trusted protocols whose lines are legitimately huge).  The
+production-traffic machinery is explicit as an :class:`AdmissionController`:
 
 * **connection cap** — past ``max_connections`` a new client is *accepted*,
   answered with one ``error: overloaded`` line and closed, rather than left
@@ -35,7 +38,7 @@ Scoring runs on the batcher's worker thread; completed futures cross back
 into the loop through a completion queue plus a ``socketpair`` wakeup, and
 every connection's responses are released strictly in request order (a
 per-connection queue of response slots), so line N of output answers line N
-of input exactly as it does on the threaded front-end.  ``stats`` and
+of input.  ``stats`` and
 catalog control lines (``reload`` builds and warms a whole engine) execute
 on a one-thread side executor so they can never stall the loop.
 """
@@ -129,6 +132,7 @@ class _Connection:
     __slots__ = (
         "sock",
         "inbuf",
+        "scanned",
         "outbuf",
         "responses",
         "inflight",
@@ -143,6 +147,8 @@ class _Connection:
     def __init__(self, sock: socket.socket, now: float) -> None:
         self.sock = sock
         self.inbuf = bytearray()
+        #: prefix of ``inbuf`` already searched for a newline (none found)
+        self.scanned = 0
         self.outbuf = bytearray()
         #: response slots in request order; only a ready prefix may be sent
         self.responses: Deque[_Slot] = deque()
@@ -162,10 +168,9 @@ class _Connection:
 class AsyncSocketServer:
     """Single-threaded event-loop TCP front-end over a shared micro-batcher.
 
-    Drop-in lifecycle-compatible with
-    :class:`~repro.serving.server.SocketServer` (``start``/``address``/
-    ``stop``/context manager), protocol-identical on the wire, plus the
-    admission-control behaviour described in the module docstring.
+    ``batcher`` is anything with ``submit(line) -> Future``.  Lifecycle is
+    ``start``/``address``/``stop`` or a context manager; the admission
+    behaviour is described in the module docstring.
     """
 
     def __init__(
@@ -177,7 +182,10 @@ class AsyncSocketServer:
         control: Optional[Callable[[str], Optional[str]]] = None,
         admission: Optional[AdmissionController] = None,
         backlog: int = 1024,
+        max_line_bytes: Optional[int] = MAX_LINE_BYTES,
     ) -> None:
+        if max_line_bytes is not None and max_line_bytes <= 0:
+            raise ValueError("max_line_bytes must be positive (None disables)")
         self._batcher = batcher
         self._stats = stats
         self._control = control
@@ -185,6 +193,7 @@ class AsyncSocketServer:
         self._host = host
         self._port = port
         self._backlog = backlog
+        self._max_line_bytes = max_line_bytes
         self._listener: Optional[socket.socket] = None
         self._selector: Optional[selectors.BaseSelector] = None
         self._thread: Optional[threading.Thread] = None
@@ -329,7 +338,10 @@ class AsyncSocketServer:
             if self._stop_requested or not self.admission.admit_connection():
                 # accept-then-refuse: the client gets one explicit line back
                 # instead of a silent SYN-queue drop it cannot distinguish
-                # from a network failure
+                # from a network failure.  Count first: a client that reads
+                # the EOF must already see the rejection in ``stats``.
+                if self._stats is not None and not self._stop_requested:
+                    self._stats.record_rejected_overload()
                 try:
                     sock.send((OVERLOADED_RESPONSE + "\n").encode("utf-8"))
                 except OSError:
@@ -338,8 +350,6 @@ class AsyncSocketServer:
                     sock.close()
                 except OSError:
                     pass
-                if self._stats is not None and not self._stop_requested:
-                    self._stats.record_rejected_overload()
                 continue
             conn = _Connection(sock, time.monotonic())
             self._conns.add(conn)
@@ -370,8 +380,7 @@ class AsyncSocketServer:
             if conn.draining:
                 self._pump_out(conn)  # the half-close dance may now finish
                 return
-            # EOF — a trailing request without a newline still gets answered,
-            # exactly as the threaded front-end's line iteration yields it
+            # EOF — a trailing request without a newline still gets answered
             if conn.inbuf:
                 raw = bytes(conn.inbuf)
                 conn.inbuf.clear()
@@ -385,19 +394,24 @@ class AsyncSocketServer:
         self._split_lines(conn)
 
     def _split_lines(self, conn: _Connection) -> None:
+        bound = self._max_line_bytes
         while not conn.closed and not conn.draining:
-            newline = conn.inbuf.find(b"\n")
+            # resume the search where the last one gave up: rescanning the
+            # whole buffer per recv is quadratic in a multi-megabyte line
+            newline = conn.inbuf.find(b"\n", conn.scanned)
             if newline < 0:
-                if len(conn.inbuf) >= MAX_LINE_BYTES:
+                conn.scanned = len(conn.inbuf)
+                if bound is not None and len(conn.inbuf) >= bound:
                     self._respond_inline(conn, LINE_TOO_LONG_RESPONSE)
                     self._begin_drain(conn)
                 return
-            if newline >= MAX_LINE_BYTES:
+            if bound is not None and newline >= bound:
                 self._respond_inline(conn, LINE_TOO_LONG_RESPONSE)
                 self._begin_drain(conn)
                 return
             raw = bytes(conn.inbuf[:newline])
             del conn.inbuf[: newline + 1]
+            conn.scanned = 0
             self._handle_line(conn, raw)
 
     def _handle_line(self, conn: _Connection, raw: bytes) -> None:
@@ -442,8 +456,8 @@ class AsyncSocketServer:
 
         The control hook returning ``None`` means the line was not a control
         line after all (e.g. ``models`` with stray operands) — it is then
-        scored through the batcher, still off the loop thread, preserving the
-        threaded front-end's answer exactly.
+        scored through the batcher, still off the loop thread, with exactly
+        the answer an ordinary request line gets.
         """
         handled = self._control(line)
         if handled is not None:
@@ -497,7 +511,8 @@ class AsyncSocketServer:
     def _flush_ready(self, conn: _Connection) -> None:
         while conn.responses and conn.responses[0].ready:
             slot = conn.responses.popleft()
-            conn.outbuf += (slot.text + "\n").encode("utf-8")
+            conn.outbuf += slot.text.encode("utf-8")
+            conn.outbuf += b"\n"
         self._pump_out(conn)
 
     def _pump_out(self, conn: _Connection) -> None:
@@ -505,9 +520,11 @@ class AsyncSocketServer:
             return
         if conn.outbuf:
             try:
-                sent = conn.sock.send(bytes(conn.outbuf[:_RECV_BYTES]))
-                if sent:
-                    del conn.outbuf[:sent]
+                # offer the kernel the whole buffer without copying it: a
+                # multi-megabyte frame drains a socket buffer per loop turn
+                with memoryview(conn.outbuf) as pending:
+                    sent = conn.sock.send(pending)
+                del conn.outbuf[:sent]
             except (BlockingIOError, InterruptedError):
                 pass
             except OSError:
@@ -558,6 +575,7 @@ class AsyncSocketServer:
             return
         conn.draining = True
         conn.inbuf.clear()
+        conn.scanned = 0
         self._pump_out(conn)
 
     def _close(self, conn: _Connection, idle: bool = False) -> None:
@@ -570,16 +588,18 @@ class AsyncSocketServer:
             except (KeyError, ValueError, OSError):
                 pass
             conn.mask = 0
+        # counters before the close: a client that reads the EOF must
+        # already see it reflected in ``stats``
+        if self._stats is not None:
+            self._stats.record_connection_close()
+            if idle:
+                self._stats.record_idle_closed()
         try:
             conn.sock.close()
         except OSError:
             pass
         self._conns.discard(conn)
         self.admission.connections -= 1
-        if self._stats is not None:
-            self._stats.record_connection_close()
-            if idle:
-                self._stats.record_idle_closed()
 
     def _reap_idle(self) -> None:
         idle = self.admission.idle_timeout_s

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.evaluation import Evaluator, format_case_study, run_case_study
+from repro.evaluation import Evaluator, format_case_study, run_case_study, top_k_indices
 from repro.models import CooccurrenceRecommender, PopularityRecommender
 from repro.models.base import HerbRecommender
 
@@ -37,6 +37,36 @@ class _BadShapeRecommender(HerbRecommender):
 
     def score_sets(self, symptom_sets):
         return np.zeros((len(symptom_sets), self._num_herbs + 1))
+
+
+class _FixedScores(HerbRecommender):
+    """Returns one fixed score vector for every symptom set."""
+
+    def __init__(self, scores):
+        self._scores = np.asarray(scores, dtype=np.float64)
+
+    @property
+    def num_herbs(self):
+        return self._scores.shape[0]
+
+    def score_sets(self, symptom_sets):
+        return np.tile(self._scores, (len(symptom_sets), 1))
+
+
+class TestRecommendTieOrder:
+    def test_tied_scores_rank_by_ascending_herb_id(self):
+        model = _FixedScores([1, 3, 3, 0, 3, 1, 2, 3])
+        assert model.recommend((0,), k=6) == [1, 2, 4, 7, 6, 0]
+
+    def test_matches_canonical_top_k_on_integer_scores(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            scores = rng.integers(0, 5, size=200).astype(np.float64)
+            expected = top_k_indices(scores[None, :], 20)[0].tolist()
+            assert _FixedScores(scores).recommend((0,), k=20) == expected
+
+    def test_k_beyond_vocabulary_returns_every_herb(self):
+        assert _FixedScores([2.0, 5.0, 2.0]).recommend((0,), k=10) == [1, 0, 2]
 
 
 class TestEvaluator:

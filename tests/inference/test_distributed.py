@@ -413,6 +413,168 @@ class TestRemoteBackend:
 
 
 # ----------------------------------------------------------------------
+# Shard-worker server on the event-loop front-end
+# ----------------------------------------------------------------------
+def _b64(payload: bytes) -> str:
+    import base64
+
+    return base64.b64encode(payload).decode("ascii")
+
+
+def _ask(connection, reader, line: str) -> str:
+    connection.sendall((line + "\n").encode("utf-8"))
+    return reader.readline().rstrip("\n")
+
+
+def _decode_results(response: str):
+    import base64
+
+    verb, _, payload = response.partition(" ")
+    assert verb == "results", response[:200]
+    return results_from_bytes(base64.b64decode(payload))
+
+
+class TestShardWorkerServer:
+    def test_ping_answered_while_slow_batch_holds_another_connection(
+        self, snapshot, syndrome, index, monkeypatch
+    ):
+        import socket
+        import threading
+
+        from repro.inference import distributed
+
+        started, gate = threading.Event(), threading.Event()
+        real_execute = distributed.execute_shard_task
+
+        def gated_execute(task, matrix):
+            started.set()
+            assert gate.wait(30), "test gate never opened"
+            return real_execute(task, matrix)
+
+        monkeypatch.setattr(distributed, "execute_shard_task", gated_execute)
+        # one scoring thread: the held batch occupies it, so the ping can
+        # only be answered inline
+        monkeypatch.setattr(distributed, "default_worker_count", lambda: 1)
+        tasks = index.tasks(syndrome, "score", num_rows=NUM_ROWS)
+        expected = NumpyBackend().run_tasks(snapshot, tasks)
+        with ShardWorkerServer() as server:
+            with socket.create_connection(server.address, timeout=30) as busy, \
+                    socket.create_connection(server.address, timeout=5) as probe:
+                busy_reader = busy.makefile("r", encoding="utf-8")
+                probe_reader = probe.makefile("r", encoding="utf-8")
+                snapshot_line = f"snapshot {_b64(snapshot_to_bytes(snapshot))}"
+                assert _ask(busy, busy_reader, snapshot_line) == f"ok {snapshot.key}"
+                busy.sendall(f"tasks {_b64(tasks_to_bytes(tasks))}\n".encode("utf-8"))
+                assert started.wait(10), "the batch never reached a scoring thread"
+                try:
+                    # the probe's 5 s socket timeout fails the test if either
+                    # answer queues behind the held batch
+                    assert _ask(probe, probe_reader, "ping") == f"pong {snapshot.key}"
+                    assert "backend=shard-worker" in _ask(probe, probe_reader, "stats")
+                finally:
+                    gate.set()
+                results = _decode_results(busy_reader.readline().rstrip("\n"))
+        for got, want in zip(results, expected):
+            np.testing.assert_array_equal(got, want)
+
+    def test_snapshot_over_64k_and_result_frame_over_1m_round_trip(self):
+        import socket
+
+        rng = np.random.default_rng(5)
+        big = WeightSnapshot.from_matrix(rng.normal(size=(4000, DIM)))
+        big_index = ShardedHerbIndex(big, num_shards=2)
+        rows = _pad_rows(rng.normal(size=(SCORING_BLOCK, DIM)), SCORING_BLOCK)
+        tasks = big_index.tasks(rows, "score", num_rows=SCORING_BLOCK)
+        expected = NumpyBackend().run_tasks(big, tasks)
+        snapshot_line = f"snapshot {_b64(snapshot_to_bytes(big))}"
+        assert len(snapshot_line) > 64 * 1024
+        with ShardWorkerServer() as server:
+            with socket.create_connection(server.address, timeout=30) as connection:
+                reader = connection.makefile("r", encoding="utf-8")
+                assert _ask(connection, reader, snapshot_line) == f"ok {big.key}"
+                response = _ask(connection, reader, f"tasks {_b64(tasks_to_bytes(tasks))}")
+            assert len(response) > 1 << 20
+            for got, want in zip(_decode_results(response), expected):
+                np.testing.assert_array_equal(got, want)
+            # and through the client backend, which pushes the snapshot itself
+            host, port = server.address
+            with RemoteBackend(worker_addrs=[f"{host}:{port}"], timeout_s=30.0) as backend:
+                for got, want in zip(backend.run_tasks(big, tasks), expected):
+                    np.testing.assert_array_equal(got, want)
+
+    def test_concurrent_batches_count_every_task(self, snapshot, syndrome, index, monkeypatch):
+        import socket
+        import sys
+        import threading
+
+        from repro.inference import distributed
+
+        monkeypatch.setattr(distributed, "default_worker_count", lambda: 4)
+        tasks = index.tasks(syndrome, "score", num_rows=NUM_ROWS)
+        expected = NumpyBackend().run_tasks(snapshot, tasks)
+        task_line = f"tasks {_b64(tasks_to_bytes(tasks))}"
+        num_clients, rounds = 6, 5
+        outcomes = [None] * num_clients
+
+        def client(position, address):
+            with socket.create_connection(address, timeout=30) as connection:
+                reader = connection.makefile("r", encoding="utf-8")
+                outcomes[position] = [
+                    _decode_results(_ask(connection, reader, task_line)) for _ in range(rounds)
+                ]
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ShardWorkerServer() as server:
+                server.handler.submit(f"snapshot {_b64(snapshot_to_bytes(snapshot))}").result()
+                threads = [
+                    threading.Thread(target=client, args=(i, server.address))
+                    for i in range(num_clients)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+                assert not any(thread.is_alive() for thread in threads)
+                executed = server.handler.tasks_executed
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert executed == num_clients * rounds * len(tasks)
+        for answers in outcomes:
+            assert answers is not None and len(answers) == rounds
+            for results in answers:
+                for got, want in zip(results, expected):
+                    np.testing.assert_array_equal(got, want)
+
+    def test_idle_connection_is_never_reaped(self, monkeypatch):
+        import socket
+        import time
+
+        from repro.serving import eventloop
+
+        class FastForward:
+            """The loop's clock, a million seconds ahead of the real one."""
+
+            @staticmethod
+            def monotonic():
+                return time.monotonic() + 1e6
+
+        with ShardWorkerServer() as server:
+            with socket.create_connection(server.address, timeout=5) as idle:
+                idle_reader = idle.makefile("r", encoding="utf-8")
+                assert _ask(idle, idle_reader, "ping") == "pong -"
+                monkeypatch.setattr(eventloop, "time", FastForward)
+                # traffic on another connection runs the loop's reaper with
+                # the idle connection a million seconds past its last read
+                with socket.create_connection(server.address, timeout=5) as other:
+                    other_reader = other.makefile("r", encoding="utf-8")
+                    assert _ask(other, other_reader, "ping") == "pong -"
+                assert _ask(idle, idle_reader, "ping") == "pong -"
+            assert server.stats.idle_closed == 0
+
+
+# ----------------------------------------------------------------------
 # Engine-level parity (the acceptance gate)
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")

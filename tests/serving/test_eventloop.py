@@ -1,9 +1,9 @@
-"""Event-loop front-end tests: wire parity with the threaded server, and the
-admission-control behaviour that only exists on the async path.
+"""Event-loop front-end tests: line reassembly on the wire, bit-identity with
+sequential scoring, and admission control.
 
-The parity tests run the same byte streams through both front-ends (trickled
-one byte at a time, split across TCP segments, EOF mid-line, oversized lines,
-invalid UTF-8) and assert identical answers — the event loop's reassembly
+The wire tests send awkward byte streams (trickled one byte at a time, split
+across TCP segments, EOF mid-line, oversized lines, invalid UTF-8) and assert
+the answers a line-at-a-time reader would give — the event loop's reassembly
 buffer must be invisible on the wire.  The admission tests use stub handlers
 (echo, or gated on a ``threading.Event``) so shedding, quotas, idle reaping
 and slow-client drops are exercised deterministically and fast.
@@ -25,7 +25,6 @@ from repro.serving import (
     MicroBatcher,
     RecommendationHandler,
     ServerStats,
-    SocketServer,
 )
 
 # ----------------------------------------------------------------------
@@ -62,15 +61,11 @@ class GatedHandler:
 
 
 @pytest.fixture()
-def echo_stack(request):
-    """An echo server behind either front-end (used by parametrized tests)."""
-    frontend = getattr(request, "param", "async")
+def echo_stack():
+    """An echo server behind the event-loop front-end."""
     stats = ServerStats()
     batcher = MicroBatcher(echo_handler, max_batch_size=16, max_wait_ms=2.0, stats=stats)
-    if frontend == "threads":
-        server = SocketServer(batcher, stats=stats).start()
-    else:
-        server = AsyncSocketServer(batcher, stats=stats).start()
+    server = AsyncSocketServer(batcher, stats=stats).start()
     yield server, stats
     server.stop()
     batcher.close()
@@ -88,16 +83,10 @@ def make_async(handler, admission=None, control=None, **batcher_kwargs):
 
 
 # ----------------------------------------------------------------------
-# Wire parity: both front-ends must reassemble and answer identically
+# Wire parity: reassembly must answer exactly as a line-at-a-time reader
 # ----------------------------------------------------------------------
 
 
-BOTH_FRONTENDS = pytest.mark.parametrize(
-    "echo_stack", ["async", "threads"], indirect=True, ids=["async", "threads"]
-)
-
-
-@BOTH_FRONTENDS
 class TestWireParity:
     def test_request_trickled_one_byte_at_a_time(self, echo_stack):
         server, _ = echo_stack
@@ -164,6 +153,50 @@ class TestWireParity:
             assert reader.readline().strip() == "ok still alive"
 
 
+class TestLineBound:
+    @pytest.fixture()
+    def bounded(self, request):
+        stats = ServerStats()
+        batcher = MicroBatcher(echo_handler, max_batch_size=16, max_wait_ms=2.0, stats=stats)
+        server = AsyncSocketServer(
+            batcher,
+            stats=stats,
+            admission=AdmissionController(max_outbuf_bytes=8 << 20),
+            max_line_bytes=request.param,
+        ).start()
+        yield server
+        server.stop()
+        batcher.close()
+
+    @pytest.mark.parametrize("bounded", [None], indirect=True)
+    def test_unbounded_line_reassembles_across_many_recvs(self, bounded):
+        payload = b"z" * (3 << 20)  # ~48 recv()s of the loop's 64 KiB
+        with socket.create_connection(bounded.address, timeout=30) as connection:
+            reader = connection.makefile("rb")
+            for start in range(0, len(payload), 100_000):
+                connection.sendall(payload[start : start + 100_000])
+            connection.sendall(b"\nafter\n")
+            assert reader.readline() == b"ok " + payload + b"\n"
+            assert reader.readline() == b"ok after\n"
+
+    @pytest.mark.parametrize("bounded", [16], indirect=True)
+    def test_custom_bound_refuses_longer_lines(self, bounded):
+        with socket.create_connection(bounded.address, timeout=10) as connection:
+            reader = connection.makefile("r", encoding="utf-8")
+            connection.sendall(b"short\n" + b"x" * 20 + b"\n")
+            assert reader.readline().strip() == "ok short"
+            assert reader.readline().strip() == LINE_TOO_LONG_RESPONSE
+            assert reader.readline() == ""
+
+    def test_bound_must_be_positive(self):
+        batcher = MicroBatcher(echo_handler)
+        try:
+            with pytest.raises(ValueError, match="max_line_bytes"):
+                AsyncSocketServer(batcher, max_line_bytes=0)
+        finally:
+            batcher.close()
+
+
 # ----------------------------------------------------------------------
 # Bit-identity against the real scoring stack
 # ----------------------------------------------------------------------
@@ -196,26 +229,15 @@ class TestAsyncScoringParity:
             connection.sendall(("".join(line + "\n" for line in lines)).encode("utf-8"))
             return [reader.readline().strip() for _ in lines]
 
-    def test_responses_bit_identical_to_threaded_front_end(self, pipeline, async_stack):
-        async_server, _ = async_stack
-        threaded_stats = ServerStats()
-        threaded_batcher = MicroBatcher(
-            RecommendationHandler(pipeline, k=5, stats=threaded_stats),
-            max_batch_size=64,
-            max_wait_ms=10.0,
-            stats=threaded_stats,
-        )
-        threaded_server = SocketServer(threaded_batcher, stats=threaded_stats).start()
-        try:
-            async_answers = self._ask(async_server.address, self.QUERIES)
-            threaded_answers = self._ask(threaded_server.address, self.QUERIES)
-        finally:
-            threaded_server.stop()
-            threaded_batcher.close()
-        assert async_answers == threaded_answers
-        assert async_answers[0] == sequential_answer(pipeline, "0 3", k=5)
-        assert async_answers[2] == sequential_answer(pipeline, "0 3", k=2)
-        assert async_answers[5].startswith("error: unknown symptom token")
+    def test_pipelined_responses_bit_identical_to_sequential(self, pipeline, async_stack):
+        server, _ = async_stack
+        answers = self._ask(server.address, self.QUERIES)
+        assert answers[0] == sequential_answer(pipeline, "0 3", k=5)
+        assert answers[1] == sequential_answer(pipeline, "1 2 4", k=5)
+        assert answers[2] == sequential_answer(pipeline, "0 3", k=2)
+        assert answers[3] == sequential_answer(pipeline, "2", k=5)
+        assert answers[4] == sequential_answer(pipeline, "0 1 2 3", k=5)
+        assert answers[5].startswith("error: unknown symptom token")
 
     @BOTH_RETRIEVALS
     def test_concurrent_clients_bit_identical_to_sequential(
@@ -268,9 +290,9 @@ class TestAsyncScoringParity:
             reader = connection.makefile("r", encoding="utf-8")
             connection.sendall(b"0 3\n")
             assert reader.readline().strip().startswith("herb_")
-            # unlike the threaded front-end, a pipelined stats probe races the
-            # scoring it follows (it runs on the side executor): ask after the
-            # answer arrives so the counters are settled
+            # a pipelined stats probe races the scoring it follows (it runs
+            # on the side executor): ask after the answer arrives so the
+            # counters are settled
             connection.sendall(b"stats\n")
             stats_line = reader.readline().strip()
         assert stats_line.startswith("requests=1 ")
@@ -378,9 +400,8 @@ class TestAdmissionControl:
             assert idler.makefile("r", encoding="utf-8").readline() == "", (
                 "idle connection was not reaped"
             )
-            # the client can see the FIN before the loop thread records the
-            # counter — poll rather than assert the instantaneous value
-            assert wait_until(lambda: stats.idle_closed == 1)
+            # counters land before the close, so the EOF already implies them
+            assert stats.idle_closed == 1
             handler.gate.set()
             assert busy.makefile("r", encoding="utf-8").readline().strip() == "ok working"
             busy.close()
@@ -487,7 +508,7 @@ class TestControlAndLifecycle:
                 connection.sendall(b"first\nmodels\n")
                 connection.settimeout(0.5)
                 # the control answer is ready, but slot order holds it behind
-                # the gated scoring answer — same as the threaded front-end
+                # the gated scoring answer
                 with pytest.raises(socket.timeout):
                     connection.recv(1)
                 handler.gate.set()
