@@ -24,19 +24,45 @@ __all__ = [
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the top-``k`` entries per row, ordered by decreasing score.
 
-    Ties are broken by ascending index (a stable sort on the negated scores),
-    so the ranking is a deterministic function of the score values alone.
-    That canonical order is what lets the sharded top-k path
-    (:func:`repro.inference.sharding.merge_topk`) reproduce this function
-    exactly from per-shard candidate lists: every prefix of the full ranking
-    is well defined even across tied scores at shard boundaries.
+    Ties are broken by ascending index, so the result equals a stable sort of
+    the negated scores cut at ``k`` and the ranking is a deterministic
+    function of the score values alone.  That canonical order is what lets
+    the sharded top-k path (:func:`repro.inference.sharding.merge_topk`)
+    reproduce this function exactly from per-shard candidate lists: every
+    prefix of the full ranking is well defined even across tied scores at
+    shard boundaries.
+
+    Only the survivors are sorted.  ``argpartition`` finds each row's
+    ``k``-th best score (the boundary); every id scoring at least the
+    boundary survives.  A row has exactly ``k`` survivors unless scores tie
+    at the boundary: those ids are sorted ascending and then stable-sorted by
+    score; a row with extra boundary ties stable-sorts all of its survivors
+    (ascending ids from its mask) and keeps ``k``.  The cost is
+    ``O(H + s log s)`` per row for ``H`` columns and ``s`` survivors instead
+    of ``O(H log H)``.  ``+0.0`` and ``-0.0`` compare equal in both the
+    partition and the mask, so they tie by id exactly as in the full sort.
+    When ``k`` covers every column or any score is NaN (NaNs rank last) the
+    full stable sort runs instead.
     """
     if scores.ndim != 2:
         raise ValueError("scores must be a 2-D matrix")
     if k <= 0:
         raise ValueError("k must be positive")
     k = min(k, scores.shape[1])
-    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    negated = -scores
+    if k == scores.shape[1] or np.isnan(negated).any():
+        return np.argsort(negated, axis=1, kind="stable")[:, :k]
+    partition = np.argpartition(negated, k - 1, axis=1)
+    boundary = np.take_along_axis(negated, partition[:, k - 1 : k], axis=1)
+    top = np.sort(partition[:, :k], axis=1)
+    del partition  # peak memory stays at the full sort's: one negated copy, one index matrix
+    order = np.argsort(np.take_along_axis(negated, top, axis=1), axis=1, kind="stable")
+    top = np.take_along_axis(top, order, axis=1)
+    survivors = np.count_nonzero(negated <= boundary, axis=1)
+    for row in np.flatnonzero(survivors > k):
+        ids = np.flatnonzero(negated[row] <= boundary[row, 0])
+        top[row] = ids[np.argsort(negated[row, ids], kind="stable")[:k]]
+    return top
 
 
 def _truth_matrix(truth_sets: Sequence[Sequence[int]], num_items: int) -> np.ndarray:
@@ -118,15 +144,20 @@ def evaluate_ranking(
 ) -> Dict[str, float]:
     """All three metrics at every requested ``k``, keyed like ``p@5`` / ``r@10`` / ``ndcg@20``.
 
-    The truth matrix is ``k``-independent and the top-``k`` indices are shared
-    by the three metrics, so both are computed once per call / per ``k``
-    rather than once per metric — this sits on the evaluation hot path.
+    The truth matrix is ``k``-independent, and the matrix is ranked once at
+    ``max(ks)``: each smaller cut is a prefix of that canonical ranking, so
+    every metric at every ``k`` shares one top-k pass — this sits on the
+    evaluation hot path.
     """
     _validate(scores, truth_sets)
+    ks = list(ks)
+    if any(k <= 0 for k in ks):
+        raise ValueError("k must be positive")
     truth = _truth_matrix(truth_sets, scores.shape[1])
     results: Dict[str, float] = {}
+    ranked = top_k_indices(scores, max(ks, default=1))
     for k in ks:
-        top = top_k_indices(scores, k)
+        top = ranked[:, :k]
         results[f"p@{k}"] = _precision(top, truth)
         results[f"r@{k}"] = _recall(top, truth)
         results[f"ndcg@{k}"] = _ndcg(top, truth)

@@ -49,6 +49,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..evaluation.metrics import top_k_indices
 from ..models.base import WeightSnapshot, score_herb_tiles
 
 __all__ = [
@@ -121,11 +122,11 @@ def shard_topk(scores: np.ndarray, start: int, k: int) -> Tuple[np.ndarray, np.n
 
     ``scores`` is ``(rows, width)`` for global herb ids ``start..start+width``.
     Returns ``(global_ids, values)``, each ``(rows, min(k, width))``, rows
-    sorted by (score desc, id asc) — the same stable order
-    ``top_k_indices`` uses, which the heap merge relies on.
+    sorted by (score desc, id asc).  The selection is ``top_k_indices``
+    itself (linear in ``width``), so shard lists carry exactly the canonical
+    order the heap merge relies on.
     """
-    k = min(k, scores.shape[1])
-    local = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    local = top_k_indices(scores, k)
     rows = np.arange(scores.shape[0])[:, None]
     return local + start, scores[rows, local]
 

@@ -72,6 +72,24 @@ class Recommendation:
         return len(self.herb_ids)
 
 
+def rank_score_rows(scores: np.ndarray, ks: Sequence[int]) -> List[Recommendation]:
+    """One :class:`Recommendation` per score row, row ``i`` cut at ``ks[i]``.
+
+    The matrix is ranked once at ``max(ks)``; every shorter list is a prefix
+    of that canonical ranking, exactly what ``top_k_indices`` returns at the
+    smaller ``k``.
+    """
+    top = top_k_indices(scores, max(ks))
+    values = np.take_along_axis(scores, top, axis=1)
+    return [
+        Recommendation(
+            herb_ids=tuple(int(h) for h in top[row, :kk]),
+            scores=tuple(float(v) for v in values[row, :kk]),
+        )
+        for row, kk in enumerate(ks)
+    ]
+
+
 class InferenceEngine:
     """Serve herb scores and top-k recommendations from cached embeddings.
 
@@ -404,17 +422,7 @@ class InferenceEngine:
             return self._recommend_approx(symptom_sets, ks)
         if self.sharding_active:
             return self._recommend_sharded(symptom_sets, ks)
-        scores = self.score_batch(symptom_sets)
-        results: List[Recommendation] = [None] * scores.shape[0]  # type: ignore[list-item]
-        for kk in sorted(set(ks)):
-            rows = [row for row, row_k in enumerate(ks) if row_k == kk]
-            top = top_k_indices(scores[rows], int(kk))
-            for position, row in enumerate(rows):
-                results[row] = Recommendation(
-                    herb_ids=tuple(int(h) for h in top[position]),
-                    scores=tuple(float(scores[row, h]) for h in top[position]),
-                )
-        return results
+        return rank_score_rows(self.score_batch(symptom_sets), ks)
 
     def _recommend_sharded(
         self, symptom_sets: Sequence[Sequence[int]], ks: List[int]

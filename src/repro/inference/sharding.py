@@ -21,7 +21,7 @@ path, not merely close:
    floating-point operations in both paths, wherever the task executes.
 2. **Canonical ranking.**  :func:`~repro.evaluation.metrics.top_k_indices`
    orders by (score descending, herb id ascending).  Per-shard candidates are
-   selected under that same order, so a k-way heap merge on
+   selected by that same function, so a k-way heap merge on
    ``(-score, herb_id)`` reconstructs the global ranking exactly — ties at
    shard boundaries included.
 """

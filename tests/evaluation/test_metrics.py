@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.evaluation import (
     evaluate_ranking,
@@ -26,6 +29,88 @@ class TestTopK:
             top_k_indices(np.zeros(3), 1)
         with pytest.raises(ValueError):
             top_k_indices(np.zeros((2, 3)), 0)
+
+
+def stable_argsort_top_k(scores, k):
+    """The canonical order spelled out: a full stable sort of the negated scores."""
+    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
+
+
+#: Few distinct values, so most rows tie at their k-th score; ``-0.0`` and
+#: ``0.0`` compare equal and must tie by id like any other pair.
+TIED_VALUES = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf, -np.inf]
+
+
+@st.composite
+def scores_and_k(draw, elements=st.sampled_from(TIED_VALUES), max_rows=6, max_cols=40):
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    num_cols = draw(st.integers(1, max_cols))
+    shape = (draw(st.integers(0, max_rows)), num_cols)
+    scores = draw(arrays(dtype, shape, elements=elements))
+    return scores, draw(k_for(num_cols))
+
+
+def k_for(num_cols):
+    """The edge cuts 1, n-1, n, n+5, or any cut in between."""
+    edges = st.sampled_from([1, max(1, num_cols - 1), num_cols, num_cols + 5])
+    return edges | st.integers(1, max(1, num_cols))
+
+
+def assert_canonical(scores, k):
+    expected = stable_argsort_top_k(scores, k)
+    got = top_k_indices(scores, k)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+
+
+class TestTopKMatchesStableSort:
+    """``top_k_indices`` returns exactly the cut of a full stable argsort."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scores_and_k())
+    def test_boundary_ties_signed_zeros_and_infinities(self, case):
+        assert_canonical(*case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(scores_and_k(elements=st.sampled_from(TIED_VALUES + [np.nan])))
+    def test_rows_with_nan(self, case):
+        assert_canonical(*case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scores_and_k(elements=st.floats(-1e6, 1e6, width=32) | st.sampled_from(TIED_VALUES))
+    )
+    def test_mixed_real_and_tied_scores(self, case):
+        assert_canonical(*case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_non_contiguous_views(self, data):
+        scores, _ = data.draw(scores_and_k(max_rows=8))
+        view = data.draw(st.sampled_from(["every_other_column", "first_rows", "transpose"]))
+        scores = {
+            "every_other_column": scores[:, ::2],
+            "first_rows": scores[:3],
+            "transpose": scores.T,
+        }[view]
+        if scores.shape[1] == 0:
+            return
+        assert_canonical(scores, data.draw(k_for(scores.shape[1])))
+
+    def test_boundary_tie_keeps_lowest_ids(self):
+        # Row 0 has one clear winner (id 110) and 60 ids tied at 1.0; with
+        # k=4 the boundary value is 1.0, so 61 ids survive the partition and
+        # the three lowest tied ids must fill the list.  Row 1 has no tie.
+        rng = np.random.default_rng(3)
+        scores = rng.uniform(-1.0, 0.5, size=(2, 120))
+        tied = rng.choice(100, size=60, replace=False)
+        scores[0, tied] = 1.0
+        scores[0, 110] = 2.0
+        k = 4
+        assert np.count_nonzero(scores[0] >= 1.0) > k
+        top = top_k_indices(scores, k)
+        np.testing.assert_array_equal(top[0], [110, *np.sort(tied)[:3]])
+        np.testing.assert_array_equal(top, stable_argsort_top_k(scores, k))
 
 
 class TestPrecisionRecall:
@@ -105,6 +190,10 @@ class TestEvaluateRanking:
         truth = [(2,)]
         metrics = evaluate_ranking(scores, truth, ks=(1, 2))
         assert set(metrics) == {"p@1", "r@1", "ndcg@1", "p@2", "r@2", "ndcg@2"}
+
+    def test_non_positive_k_rejected_alongside_valid_ones(self):
+        with pytest.raises(ValueError, match="positive"):
+            evaluate_ranking(np.array([[0.5, 0.1, 0.9]]), [(2,)], ks=(2, 0))
 
     def test_recall_monotone_in_k(self):
         rng = np.random.default_rng(0)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.evaluation import Evaluator
+from repro.evaluation import Evaluator, top_k_indices
 from repro.inference import InferenceEngine, Recommendation
 from repro.models import SMGCN, SMGCNConfig
 from repro.nn import Adam
@@ -195,6 +195,16 @@ class TestInferenceEngine:
         assert [len(rec) for rec in mixed] == [2, 5, 3]
         for rec, (symptom_set, k) in zip(mixed, [(sets[0], 2), (sets[1], 5), (sets[2], 3)]):
             assert rec == engine.recommend(symptom_set, k=k)
+
+    def test_recommend_batch_mixed_k_are_prefixes_of_one_ranking(self, model):
+        engine = InferenceEngine(model)
+        sets = [(0, 1), (2,), (1, 3), (0,)]
+        ks = [1, model.num_herbs + 3, 4, 2]
+        scores = engine.score_batch(sets)
+        for row, rec in enumerate(engine.recommend_batch(sets, k=ks)):
+            top = top_k_indices(scores[row : row + 1], ks[row])[0]
+            assert rec.herb_ids == tuple(top.tolist())
+            assert rec.scores == tuple(scores[row, top].tolist())
 
     def test_recommend_batch_k_validation(self, model):
         engine = InferenceEngine(model)
