@@ -28,9 +28,10 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from .evaluation.evaluator import EvaluationResult, Evaluator
+from .evaluation.metrics import top_k_indices
 from .experiments.datasets import experiment_evaluator, experiment_split, get_profile
 from .experiments.runners import train_registered_model
-from .inference.engine import InferenceEngine, Recommendation, rank_score_rows
+from .inference.engine import InferenceEngine, Recommendation
 from .io.checkpoint import load_checkpoint, save_checkpoint, validate_checkpoint_path
 from .models import MODEL_REGISTRY
 from .models.base import GraphHerbRecommender
@@ -239,7 +240,16 @@ class Pipeline:
         model = self._require_model()
         if isinstance(model, GraphHerbRecommender):
             return self.engine.recommend_batch(sets, k=ks)
-        return rank_score_rows(model.score_sets(sets), ks)
+        # rank once at max(ks): every shorter list is a prefix of that ranking
+        scores = model.score_sets(sets)
+        top = top_k_indices(scores, max(ks))
+        values = np.take_along_axis(scores, top, axis=1)
+        return [
+            Recommendation(
+                herb_ids=tuple(top[row, :kk].tolist()), scores=tuple(values[row, :kk].tolist())
+            )
+            for row, kk in enumerate(ks)
+        ]
 
     def recommend_stream(self, records, k: int = 10, window: int = 1024):
         """Stream JSONL prescription records through the pipeline, lazily.

@@ -521,23 +521,6 @@ def _check_sharding(args) -> Optional[int]:
             file=sys.stderr,
         )
         return 2
-    if (
-        args.shards == 1
-        and args.retrieval == "exact"
-        and (
-            args.workers is not None
-            or args.worker_addr
-            or args.backend not in (None, "numpy")
-        )
-    ):
-        # approx retrieval runs its exact re-rank through the backend even
-        # with one shard, so the backend knobs stay meaningful there
-        print(
-            "error: --backend/--workers/--worker-addr only take effect with "
-            "--shards >= 2 or --retrieval approx",
-            file=sys.stderr,
-        )
-        return 2
     if args.backend == "remote" and not args.worker_addr:
         print(
             "error: --backend remote needs at least one --worker-addr "

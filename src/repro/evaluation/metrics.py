@@ -27,10 +27,11 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     Ties are broken by ascending index, so the result equals a stable sort of
     the negated scores cut at ``k`` and the ranking is a deterministic
     function of the score values alone.  That canonical order is what lets
-    the sharded top-k path (:func:`repro.inference.sharding.merge_topk`)
-    reproduce this function exactly from per-shard candidate lists: every
-    prefix of the full ranking is well defined even across tied scores at
-    shard boundaries.
+    the engine's top-k path reproduce this function exactly from per-shard
+    candidate lists: each shard selects with it, and
+    :func:`repro.inference.sharding.merge_topk` ranks the stacked candidates
+    with it once more — every prefix of the full ranking is well defined
+    even across tied scores at shard boundaries.
 
     Only the survivors are sorted.  ``argpartition`` finds each row's
     ``k``-th best score (the boundary); every id scoring at least the

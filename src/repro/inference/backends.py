@@ -99,7 +99,7 @@ class ShardTask:
     ``(padded_rows, stop - start)`` score block; ``"topk"`` reduces to the
     shard-local top-``k`` candidates ``(ids, scores)`` over the first
     ``num_rows`` rows, pre-sorted in the canonical (score desc, id asc)
-    order so the caller can heap-merge shards exactly.
+    order so the caller can merge shards exactly.
     """
 
     op: str  # "score" | "topk"
@@ -124,7 +124,7 @@ def shard_topk(scores: np.ndarray, start: int, k: int) -> Tuple[np.ndarray, np.n
     Returns ``(global_ids, values)``, each ``(rows, min(k, width))``, rows
     sorted by (score desc, id asc).  The selection is ``top_k_indices``
     itself (linear in ``width``), so shard lists carry exactly the canonical
-    order the heap merge relies on.
+    order :func:`~repro.inference.sharding.merge_topk` relies on.
     """
     local = top_k_indices(scores, k)
     rows = np.arange(scores.shape[0])[:, None]

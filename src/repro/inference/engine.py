@@ -11,18 +11,19 @@ tracking to the model's parameter-version fingerprint) and answers
 
 chunking large requests so the CSR pooling matrices stay small.
 
-Vocabulary size scales independently of request volume: with
-``num_shards > 1`` the herb-embedding matrix is cut into tile-aligned column
-shards (:class:`~repro.inference.sharding.ShardedHerbIndex`) scored through a
-pluggable :class:`~repro.inference.backends.ComputeBackend` — serially by
-default, across a thread pool (``backend="threads"``), across worker
-processes attaching the weights via shared memory (``"processes"``), or
-fanned out to remote shard-worker servers (``"remote"`` +
-``worker_addrs``) — and top-k answers heap-merge per-shard candidates
-without ever materialising the full score matrix.  Sharded answers are
-bit-identical to the unsharded path (every backend runs the same fixed
-scoring-tile grid and the same canonical ranking), so sharding and backend
-placement are purely operational knobs.
+Every answer goes through one exact scoring path: the herb-embedding matrix
+is cut into ``num_shards`` tile-aligned column shards
+(:class:`~repro.inference.sharding.ShardedHerbIndex`; the default is one
+shard) scored through a pluggable
+:class:`~repro.inference.backends.ComputeBackend` — serially by default,
+across a thread pool (``backend="threads"``), across worker processes
+attaching the weights via shared memory (``"processes"``), or fanned out to
+remote shard-worker servers (``"remote"`` + ``worker_addrs``) — and top-k
+answers merge per-shard candidates with ``top_k_indices`` without ever
+materialising the full score matrix.  Every shard count and backend runs the
+same fixed scoring-tile grid and the same canonical ranking, so answers are
+bit-identical to ``model.score_sets`` and sharding and backend placement are
+purely operational knobs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..evaluation.metrics import top_k_indices
 from ..models.base import GraphHerbRecommender
 from .backends import ComputeBackend, get_backend
 from .retrieval import ApproxHerbIndex, RetrievalReport
@@ -72,33 +72,17 @@ class Recommendation:
         return len(self.herb_ids)
 
 
-def rank_score_rows(scores: np.ndarray, ks: Sequence[int]) -> List[Recommendation]:
-    """One :class:`Recommendation` per score row, row ``i`` cut at ``ks[i]``.
-
-    The matrix is ranked once at ``max(ks)``; every shorter list is a prefix
-    of that canonical ranking, exactly what ``top_k_indices`` returns at the
-    smaller ``k``.
-    """
-    top = top_k_indices(scores, max(ks))
-    values = np.take_along_axis(scores, top, axis=1)
-    return [
-        Recommendation(
-            herb_ids=tuple(int(h) for h in top[row, :kk]),
-            scores=tuple(float(v) for v in values[row, :kk]),
-        )
-        for row, kk in enumerate(ks)
-    ]
-
-
 class InferenceEngine:
     """Serve herb scores and top-k recommendations from cached embeddings.
 
-    ``num_shards``/``backend`` select the sharded scoring path: ``backend``
-    accepts a registered name (``"numpy"``, ``"threads"``, ``"processes"``,
+    ``num_shards``/``backend`` place the scoring: ``backend`` accepts a
+    registered name (``"numpy"``, ``"threads"``, ``"processes"``,
     ``"remote"``) or a :class:`~repro.inference.backends.ComputeBackend`
     instance; ``num_workers`` sizes the pooled backends and ``worker_addrs``
-    lists the ``host:port`` shard workers for ``"remote"``.  With the default
-    ``num_shards=1`` everything flows through ``model.score_sets`` unchanged.
+    lists the ``host:port`` shard workers for ``"remote"``.  The default
+    ``num_shards=1`` is one shard like any other and runs on the configured
+    backend.  Scores follow the base ``encode_syndrome`` + fixed-tile recipe;
+    a subclass override of ``score_sets`` is not consulted.
 
     ``retrieval="approx"`` serves top-k through the two-stage
     :class:`~repro.inference.retrieval.ApproxHerbIndex` (int8-quantized first
@@ -149,11 +133,6 @@ class InferenceEngine:
         self.nprobe = int(nprobe)
         self.retrieval_seed = int(retrieval_seed)
         self.backend = get_backend(backend, num_workers=num_workers, worker_addrs=worker_addrs)
-        # The sharded fast path re-implements only the *base* scoring recipe
-        # (encode_syndrome + tile matmuls).  A subclass that overrides
-        # score_sets defines its own notion of a score, so sharding must
-        # defer to it rather than silently serve different answers.
-        self._base_scoring = type(model).score_sets is GraphHerbRecommender.score_sets
         #: parameter version -> shard index; bounded LRU (see
         #: :data:`MAX_CACHED_INDEX_VERSIONS`), evictions release the
         #: snapshot's backend attachments.  Guarded by ``_cache_lock``: the
@@ -180,36 +159,11 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # Cache handling
     # ------------------------------------------------------------------
-    @property
-    def sharding_active(self) -> bool:
-        """Whether requests actually take the sharded path.
-
-        False when ``num_shards == 1``, and also for models that override
-        ``score_sets``: the sharded path reproduces only the base scoring
-        recipe, so a custom ``score_sets`` must keep answering (bit-identity
-        with the model's own answers beats fanning out the wrong formula).
-        """
-        return self.num_shards > 1 and self._base_scoring
-
-    @property
-    def retrieval_active(self) -> bool:
-        """Whether top-k requests take the approximate two-stage path.
-
-        False for ``retrieval="exact"``, and also for models that override
-        ``score_sets`` — like sharding, the approx first pass reproduces only
-        the base scoring recipe, so a custom score definition keeps answering
-        exactly rather than being pruned by the wrong formula.
-        """
-        return self.retrieval == "approx" and self._base_scoring
-
     def warm_up(self) -> "InferenceEngine":
         """Force the propagation (and index builds) now, before taking traffic."""
         self.model.cached_encode()
-        if self.retrieval_active:
-            with self._lease_index(with_approx=True):
-                pass
-        elif self.sharding_active:
-            self.herb_index()
+        with self._lease_index(with_approx=self.retrieval == "approx"):
+            pass
         return self
 
     def refresh(self) -> "InferenceEngine":
@@ -301,9 +255,10 @@ class InferenceEngine:
         While leased, an LRU eviction of this index defers the backend
         ``release_snapshot`` to the last checkin — so concurrent weight
         rollouts can never release a snapshot that live requests still score
-        against.  With ``with_approx`` the matching quantized index is built
-        (or fetched) under the same lock and yielded alongside, pinned by the
-        same lease — the pair is guaranteed to wrap one snapshot.
+        against.  Yields ``(index, approx)``: with ``with_approx`` the
+        matching quantized index is built (or fetched) under the same lock
+        and pinned by the same lease — the pair is guaranteed to wrap one
+        snapshot — otherwise ``approx`` is ``None``.
         """
         with self._cache_lock:
             index = self._herb_index_locked()
@@ -311,7 +266,7 @@ class InferenceEngine:
             approx = self._approx_index_locked(index) if with_approx else None
             self._leases[key] = self._leases.get(key, 0) + 1
         try:
-            yield (index, approx) if with_approx else index
+            yield index, approx
         finally:
             release = False
             with self._cache_lock:
@@ -330,21 +285,19 @@ class InferenceEngine:
         Reports the active backend's own status (name, worker counts — a
         remote backend pings its shard workers) plus the effective shard
         count: the built index's if one exists, otherwise the configured
-        request, or 1 when sharding is inactive for this model.
+        request.
         """
         status = dict(self.backend.status())
         with self._cache_lock:
-            if not self.sharding_active:
-                status["shards"] = 1
-            elif self._index_cache:
+            if self._index_cache:
                 status["shards"] = next(reversed(self._index_cache.values())).num_shards
             else:
                 status["shards"] = self.num_shards
             status["cached_index_versions"] = len(self._index_cache)
             if self._retired:
                 status["draining_index_versions"] = len(self._retired)
-            status["retrieval"] = "approx" if self.retrieval_active else "exact"
-            if self.retrieval_active:
+            status["retrieval"] = self.retrieval
+            if self.retrieval == "approx":
                 status["candidate_factor"] = self.candidate_factor
                 if self.num_lists >= 2:
                     status["num_lists"] = self.num_lists
@@ -373,25 +326,17 @@ class InferenceEngine:
     def score_batch(self, symptom_sets: Sequence[Sequence[int]]) -> np.ndarray:
         """Herb scores for every symptom set, one propagation total.
 
-        Unsharded, this delegates to ``model.score_sets`` chunk by chunk —
-        the model serves every chunk from the cached propagation (refreshed
-        here once if stale), so only the syndrome induction (sparse CSR
-        pooling + MLP) runs per chunk, and subclass ``score_sets`` overrides
-        are respected.  Sharded, each chunk's syndrome scores every herb
-        shard through the configured backend; both paths run the identical
-        fixed-tile matmul grid, so their outputs are bit-identical.
+        The propagation is served from the model's cache (refreshed here once
+        if stale), so only the syndrome induction (sparse CSR pooling + MLP)
+        runs per chunk; each chunk's syndrome then scores every herb shard
+        through the configured backend.  The shards run the fixed tile grid
+        of ``model.score_sets``, so the matrix is bit-identical to it.
         """
         if len(symptom_sets) == 0:
             return np.zeros((0, self.model.num_herbs), dtype=np.float64)
         self.model.cached_encode()
-        if not self.sharding_active:
-            rows: List[np.ndarray] = [
-                self.model.score_sets(symptom_sets[start : start + self.batch_size])
-                for start in range(0, len(symptom_sets), self.batch_size)
-            ]
-            return np.vstack(rows)
-        rows = []
-        with self._lease_index() as index:
+        rows: List[np.ndarray] = []
+        with self._lease_index() as (index, _):
             for start in range(0, len(symptom_sets), self.batch_size):
                 chunk = symptom_sets[start : start + self.batch_size]
                 syndrome = self.model.encode_syndrome(chunk)
@@ -408,8 +353,16 @@ class InferenceEngine:
         scoring matmul.  Rankings follow the canonical order of
         ``top_k_indices`` (score descending, herb id ascending), which keeps
         batched answers bit-identical to single-request ones even for tied
-        scores — and, since the sharded path merges per-shard candidates
-        under the same order, identical across ``num_shards`` settings too.
+        scores, and identical across ``num_shards`` settings too.
+
+        Exact retrieval selects each shard's top ``max(ks)`` and merges the
+        candidates; each row keeps its own ``k`` prefix, which is exactly
+        what ``top_k_indices`` returns at the smaller ``k``.  With
+        ``retrieval="approx"`` the two-stage index answers instead: int8
+        first pass, exact tile re-rank, per-request exact fallback.  Every
+        listed score still comes from the exact tile arithmetic, so
+        approximation only affects which herbs make the list; the counters
+        feed ``backend_status()`` and the serving ``stats`` line.
         """
         ks = [k] * len(symptom_sets) if isinstance(k, (int, np.integer)) else list(k)
         if len(ks) != len(symptom_sets):
@@ -418,74 +371,30 @@ class InferenceEngine:
             raise ValueError("k must be positive")
         if len(symptom_sets) == 0:
             return []
-        if self.retrieval_active:
-            return self._recommend_approx(symptom_sets, ks)
-        if self.sharding_active:
-            return self._recommend_sharded(symptom_sets, ks)
-        return rank_score_rows(self.score_batch(symptom_sets), ks)
-
-    def _recommend_sharded(
-        self, symptom_sets: Sequence[Sequence[int]], ks: List[int]
-    ) -> List[Recommendation]:
-        """Per-shard top-k + heap merge; the full score matrix never exists.
-
-        One selection pass runs at ``max(ks)``; each row then keeps its own
-        ``k`` prefix — prefixes of the canonical ranking are exactly what
-        ``top_k_indices`` would return at the smaller ``k``.
-        """
         self.model.cached_encode()
         k_max = min(max(ks), self.model.num_herbs)
         results: List[Recommendation] = []
-        with self._lease_index() as index:
-            for start in range(0, len(symptom_sets), self.batch_size):
-                chunk = symptom_sets[start : start + self.batch_size]
-                syndrome = self.model.encode_syndrome(chunk)
-                ids, scores = index.topk(syndrome, len(chunk), k_max, backend=self.backend)
-                for row, kk in enumerate(ks[start : start + len(chunk)]):
-                    keep = min(kk, ids.shape[1])
-                    results.append(
-                        Recommendation(
-                            herb_ids=tuple(int(h) for h in ids[row, :keep]),
-                            scores=tuple(float(s) for s in scores[row, :keep]),
-                        )
-                    )
-        return results
-
-    def _recommend_approx(
-        self, symptom_sets: Sequence[Sequence[int]], ks: List[int]
-    ) -> List[Recommendation]:
-        """Two-stage top-k: int8 first pass, exact tile re-rank, exact fallback.
-
-        Every returned score comes from the exact fixed-tile arithmetic (the
-        re-rank and the fallback both run it), so approximation only affects
-        which herbs make the list — never a listed herb's score or the
-        relative order of listed herbs.  Requests whose candidate pool cannot
-        certify ``k`` results fall back to the exact index individually;
-        the counters feed ``backend_status()`` and the serving ``stats`` line.
-        """
-        self.model.cached_encode()
-        results: List[Recommendation] = []
         report = RetrievalReport()
-        with self._lease_index(with_approx=True) as (index, approx):
+        with self._lease_index(with_approx=self.retrieval == "approx") as (index, approx):
             for start in range(0, len(symptom_sets), self.batch_size):
                 chunk = symptom_sets[start : start + self.batch_size]
+                chunk_ks = ks[start : start + len(chunk)]
                 syndrome = self.model.encode_syndrome(chunk)
-                rows, chunk_report = approx.topk(
-                    syndrome,
-                    ks[start : start + len(chunk)],
-                    backend=self.backend,
-                    exact_index=index,
-                )
-                report.merge(chunk_report)
-                for ids, scores in rows:
-                    results.append(
-                        Recommendation(
-                            herb_ids=tuple(int(h) for h in ids),
-                            scores=tuple(float(s) for s in scores),
-                        )
+                if approx is None:
+                    ids, scores = index.topk(syndrome, len(chunk), k_max, backend=self.backend)
+                    rows = [(ids[row, :kk], scores[row, :kk]) for row, kk in enumerate(chunk_ks)]
+                else:
+                    rows, chunk_report = approx.topk(
+                        syndrome, chunk_ks, backend=self.backend, exact_index=index
                     )
-        with self._cache_lock:
-            self._retrieval_counters.merge(report)
+                    report.merge(chunk_report)
+                results.extend(
+                    Recommendation(herb_ids=tuple(ids.tolist()), scores=tuple(scores.tolist()))
+                    for ids, scores in rows
+                )
+        if approx is not None:
+            with self._cache_lock:
+                self._retrieval_counters.merge(report)
         return results
 
     def recommend(self, symptom_set: Sequence[int], k: int = 20) -> Recommendation:

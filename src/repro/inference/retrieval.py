@@ -18,10 +18,11 @@ retrieve-then-re-rank shape:
    interval :class:`~repro.inference.backends.ShardTask`\\ s executed through
    any registered :class:`~repro.inference.backends.ComputeBackend` (serial,
    threads, processes, remote).  Those tasks run the *identical* fixed-block
-   arithmetic as ``score_sets(herb_range=...)``, so every returned score is
-   bit-identical to the exact oracle's score for the same ``(request, herb)``
-   pair, and the final ranking applies the canonical tie-break
-   (score descending, id ascending).
+   arithmetic as :func:`~repro.inference.backends.execute_shard_task`'s tile
+   grid over the full vocabulary, so every returned score is bit-identical to
+   the exact oracle's score for the same ``(request, herb)`` pair, and the
+   final ranking is :func:`~repro.evaluation.metrics.top_k_indices`'
+   canonical order (score descending, id ascending).
 
 Determinism invariants (pinned by ``tests/inference/test_retrieval.py``):
 
@@ -346,8 +347,9 @@ class ApproxHerbIndex:
         The candidate union maps to covering tiles merged into contiguous
         intervals; each interval becomes one ``op="score"`` ShardTask, so the
         scores come out of the identical ``(row_block, HERB_BLOCK)`` tile
-        grid as ``score_sets(herb_range=...)`` — bit-identical to the exact
-        oracle wherever the task executes.
+        grid as every exact shard task — bit-identical to the exact oracle
+        wherever the task executes.  Survivor ids are ascending, so
+        ``top_k_indices`` over their positions breaks ties by id.
         """
         union = np.unique(np.concatenate([survivors[row] for row in rows]))
         runs = self._tile_runs(union, self.num_herbs)
@@ -374,7 +376,7 @@ class ApproxHerbIndex:
             exact = np.array(
                 [pieces[p][row, o] for p, o in zip(piece_index, offsets)], dtype=np.float64
             )
-            order = np.lexsort((ids, -exact))[: min(int(ks[row]), ids.size)]
+            order = top_k_indices(exact[None, :], int(ks[row]))[0]
             results[row] = (ids[order], exact[order])
 
     def _fallback(

@@ -8,32 +8,33 @@ into column shards, turns each scoring request into picklable
 :class:`~repro.models.base.WeightSnapshot` (so shards can execute in-process,
 in a process pool, or on remote shard workers — see
 :mod:`repro.inference.backends` and :mod:`repro.inference.distributed`), and
-merges the per-shard top-k candidates with the heap-based :func:`merge_topk`.
+merges the per-shard top-k candidates with :func:`merge_topk`.
 
-Two invariants make the sharded results *bit-identical* to the unsharded
-path, not merely close:
+Two invariants make the sharded results *bit-identical* to the
+full-vocabulary oracle, not merely close:
 
 1. **Tile-aligned shards.**  Shard boundaries fall on
    :data:`~repro.models.base.HERB_BLOCK` multiples, and every shard scores
    through the same fixed ``(SCORING_BLOCK, dim) @ (dim, HERB_BLOCK)`` tile
-   grid as the unsharded :meth:`~repro.models.base.GraphHerbRecommender.
-   score_sets` — so each score is produced by literally the same sequence of
-   floating-point operations in both paths, wherever the task executes.
+   grid as :meth:`~repro.models.base.GraphHerbRecommender.score_sets` — so
+   each score is produced by literally the same sequence of floating-point
+   operations at every shard count, wherever the task executes.
 2. **Canonical ranking.**  :func:`~repro.evaluation.metrics.top_k_indices`
    orders by (score descending, herb id ascending).  Per-shard candidates are
-   selected by that same function, so a k-way heap merge on
-   ``(-score, herb_id)`` reconstructs the global ranking exactly — ties at
-   shard boundaries included.
+   selected by that same function and shards cover ascending herb-id
+   intervals, so ranking the column-stacked candidates with that function
+   once more reconstructs the global ranking exactly — ties at shard
+   boundaries included.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..evaluation.metrics import top_k_indices
 from ..models.base import HERB_BLOCK, WeightSnapshot
 from .backends import ComputeBackend, NumpyBackend, ShardTask
 
@@ -66,15 +67,18 @@ def merge_topk(
     shard_scores: Sequence[np.ndarray],
     k: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Heap-merge per-shard top-k candidates into the exact global top-k.
+    """Merge per-shard top-k candidates into the exact global top-k.
 
     Each ``shard_ids[s]`` / ``shard_scores[s]`` pair holds one shard's
     candidates: ``(rows, k_s)`` arrays whose columns are already sorted by
-    (score descending, id ascending).  A k-way merge on ``(-score, id)``
-    yields the globally sorted prefix — identical, ties included, to running
-    :func:`~repro.evaluation.metrics.top_k_indices` on the concatenated score
-    row, because any global top-k element is necessarily within the top-k of
-    its own shard.
+    (score descending, id ascending).  Precondition: the shards cover
+    disjoint herb-id intervals listed in ascending order.  Then, once the
+    candidates are stacked column-wise, equal scores appear in ascending id
+    order, so :func:`~repro.evaluation.metrics.top_k_indices` over the
+    stacked columns (score descending, column ascending) is the canonical
+    (score descending, id ascending) order.  The result is identical, ties
+    included, to ``top_k_indices`` on the full score row, because any global
+    top-k element is within the top-k of its own shard.
 
     Returns ``(ids, scores)`` of shape ``(rows, min(k, total candidates))``.
     """
@@ -84,34 +88,10 @@ def merge_topk(
         raise ValueError("shard_ids and shard_scores must pair up")
     if not shard_ids:
         raise ValueError("need at least one shard candidate list")
-    num_rows = shard_ids[0].shape[0]
-    k_out = min(k, sum(ids.shape[1] for ids in shard_ids))
-    merged_ids = np.empty((num_rows, k_out), dtype=np.int64)
-    merged_scores = np.empty((num_rows, k_out), dtype=np.float64)
-    for row in range(num_rows):
-        # (sort key..., shard, position) seeds one entry per non-empty shard
-        heap = [
-            (-shard_scores[s][row, 0], int(shard_ids[s][row, 0]), s, 0)
-            for s in range(len(shard_ids))
-            if shard_ids[s].shape[1]
-        ]
-        heapq.heapify(heap)
-        for rank in range(k_out):
-            neg_score, herb_id, s, position = heapq.heappop(heap)
-            merged_ids[row, rank] = herb_id
-            merged_scores[row, rank] = -neg_score
-            position += 1
-            if position < shard_ids[s].shape[1]:
-                heapq.heappush(
-                    heap,
-                    (
-                        -shard_scores[s][row, position],
-                        int(shard_ids[s][row, position]),
-                        s,
-                        position,
-                    ),
-                )
-    return merged_ids, merged_scores
+    ids = np.hstack(shard_ids)
+    scores = np.hstack(shard_scores)
+    order = top_k_indices(scores, k)
+    return np.take_along_axis(ids, order, axis=1), np.take_along_axis(scores, order, axis=1)
 
 
 class ShardedHerbIndex:
@@ -229,7 +209,7 @@ class ShardedHerbIndex:
         ``rows × shard_width`` scores plus ``rows × k`` candidates — the
         full ``rows × num_herbs`` matrix never exists (and, on the remote
         backend, only the small candidate lists cross the wire back).
-        Candidates then heap-merge into the canonical global ranking (see
+        Candidates then merge into the canonical global ranking (see
         :func:`merge_topk`).
 
         ``num_rows`` trims the row padding; returns ``(ids, scores)`` of

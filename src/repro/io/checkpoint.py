@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
@@ -109,10 +110,18 @@ def pack_npz_bytes(header: Mapping[str, Any], arrays: Mapping[str, np.ndarray]) 
     return buffer.getvalue()
 
 
+#: Serialises :func:`unpack_npz_bytes`.  ``np.load`` parses every ``.npy``
+#: header with ``ast.literal_eval``, and CPython 3.11 keeps the AST
+#: converter's recursion-depth check in interpreter-wide state, so concurrent
+#: decodes on different threads can fail with "AST constructor recursion
+#: depth mismatch".
+_NPZ_LOAD_LOCK = threading.Lock()
+
+
 def unpack_npz_bytes(data: bytes) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
     """Invert :func:`pack_npz_bytes`; returns ``(header, arrays)``."""
     try:
-        with np.load(io.BytesIO(data), allow_pickle=False) as bundle:
+        with _NPZ_LOAD_LOCK, np.load(io.BytesIO(data), allow_pickle=False) as bundle:
             if _HEADER_KEY not in bundle:
                 raise CheckpointError("not a repro npz bundle (missing header)")
             try:

@@ -299,6 +299,31 @@ class TestShardedEngine:
         finally:
             engine.close()
 
+    @pytest.mark.parametrize("backend", ["numpy", "threads", "processes"])
+    def test_default_single_shard_matches_score_sets_oracle(
+        self, wide_split, wide_model, backend
+    ):
+        """One shard on any backend: ``model.score_sets`` plus a stable argsort."""
+        _, test = wide_split
+        sets = test.symptom_sets()[:40]
+        oracle = wide_model.score_sets(sets)
+        ranked = np.argsort(-oracle, axis=1, kind="stable")
+        ks = [1, 10, 300, 10_000] * 10
+        expected = [
+            Recommendation(
+                herb_ids=tuple(int(h) for h in ranked[row, :kk]),
+                scores=tuple(float(oracle[row, h]) for h in ranked[row, :kk]),
+            )
+            for row, kk in enumerate(ks)
+        ]
+        engine = InferenceEngine(wide_model, batch_size=16, backend=backend, num_workers=1)
+        try:
+            assert engine.herb_index().num_shards == 1
+            np.testing.assert_array_equal(engine.score_batch(sets), oracle)
+            assert engine.recommend_batch(sets, k=ks) == expected
+        finally:
+            engine.close()
+
     @pytest.mark.parametrize("num_shards", [2, 3, 50])
     def test_recommend_batch_bit_identical(self, wide_split, wide_model, num_shards):
         _, test = wide_split
@@ -343,26 +368,6 @@ class TestShardedEngine:
         assert engine.herb_index() is not stale_index
         assert not np.allclose(before, after)
         np.testing.assert_array_equal(after, InferenceEngine(wide_model).score_batch(sets))
-
-    def test_subclass_score_sets_override_beats_sharding(self, wide_split):
-        """A custom score_sets defines the scores; sharding must defer to it."""
-        from repro.models import SMGCN, SMGCNConfig
-
-        train, _ = wide_split
-
-        class Boosted(SMGCN):
-            def score_sets(self, symptom_sets, herb_range=None):
-                return super().score_sets(symptom_sets, herb_range=herb_range) + 100.0
-
-        config = SMGCNConfig(
-            embedding_dim=8, layer_dims=(12,), symptom_threshold=2, herb_threshold=4, seed=0
-        )
-        model = Boosted.from_dataset(train, config)
-        engine = InferenceEngine(model, num_shards=3)
-        assert not engine.sharding_active
-        scores = engine.score_batch([(0, 1), (2,)])
-        assert scores.min() > 50.0, "override bypassed by the sharded fast path"
-        assert InferenceEngine(SMGCN.from_dataset(train, config), num_shards=3).sharding_active
 
     def test_backend_status_reports_topology(self, wide_model):
         engine = InferenceEngine(wide_model, num_shards=3, backend="threads", num_workers=2)
@@ -562,7 +567,7 @@ class TestIndexCacheConcurrency:
 
         spy = _ReleaseSpyBackend()
         model, engine = self._build(wide_split, spy)
-        with engine._lease_index() as index:
+        with engine._lease_index() as (index, _):
             leased_key = index.snapshot.key
             # roll enough versions to evict the leased one from the LRU
             for _ in range(MAX_CACHED_INDEX_VERSIONS + 2):
@@ -578,8 +583,8 @@ class TestIndexCacheConcurrency:
     def test_nested_leases_release_once(self, wide_split):
         spy = _ReleaseSpyBackend()
         model, engine = self._build(wide_split, spy)
-        with engine._lease_index() as outer:
-            with engine._lease_index() as inner:
+        with engine._lease_index() as (outer, _):
+            with engine._lease_index() as (inner, _):
                 assert inner is outer
                 _bump_parameters(model)
                 for _ in range(3):

@@ -148,7 +148,7 @@ class TestTies:
         )
         return herbs, syndrome
 
-    @pytest.mark.parametrize("num_shards", [2, 3, 100])
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 100])
     def test_tied_scores_merge_in_unsharded_order(self, tied, num_shards):
         herbs, syndrome = tied
         index = ShardedHerbIndex(herbs, num_shards=num_shards)
@@ -192,6 +192,31 @@ class TestMergeTopk:
         )
         np.testing.assert_array_equal(ids, [[5]])
 
+    def test_matches_stable_argsort_on_seeded_random_shards(self):
+        """Ties, signed zeros, empty shards, uneven widths and k > candidates."""
+        rng = np.random.default_rng(2024)
+        grid = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+        for _ in range(300):
+            rows = int(rng.integers(1, 5))
+            widths = rng.integers(0, 8, size=int(rng.integers(1, 6)))
+            widths[rng.integers(widths.size)] = 0  # at least one empty shard
+            if widths.sum() == 0:
+                widths[-1] = 1
+            full = rng.choice(grid, size=(rows, int(widths.sum())))
+            k = int(rng.integers(1, full.shape[1] + 4))
+            shard_ids, shard_scores = [], []
+            for start, stop in zip(np.cumsum(widths) - widths, np.cumsum(widths)):
+                block = full[:, start:stop]
+                local = np.argsort(-block, axis=1, kind="stable")[:, :k]
+                shard_ids.append(local + start)
+                shard_scores.append(np.take_along_axis(block, local, axis=1))
+            ids, scores = merge_topk(shard_ids, shard_scores, k)
+            expected = np.argsort(-full, axis=1, kind="stable")[:, :k]
+            np.testing.assert_array_equal(ids, expected)
+            expected_scores = np.take_along_axis(full, expected, axis=1)
+            np.testing.assert_array_equal(scores, expected_scores)
+            np.testing.assert_array_equal(np.signbit(scores), np.signbit(expected_scores))
+
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
             merge_topk([np.array([[1]])], [np.array([[1.0]])], k=0)
@@ -199,38 +224,3 @@ class TestMergeTopk:
             merge_topk([np.array([[1]])], [], k=1)
         with pytest.raises(ValueError, match="at least one"):
             merge_topk([], [], k=1)
-
-
-class TestShardAwareScoreSets:
-    """The model-level entry point: ``score_sets(..., herb_range=...)``."""
-
-    def test_range_slices_bitwise(self, tiny_split):
-        from repro.models import SMGCN, SMGCNConfig
-
-        train, _ = tiny_split
-        model = SMGCN.from_dataset(
-            train,
-            SMGCNConfig(
-                embedding_dim=8, layer_dims=(12,), symptom_threshold=2, herb_threshold=4, seed=0
-            ),
-        )
-        sets = [(0, 1), (2,), (3, 4, 5)]
-        full = model.score_sets(sets)
-        for rng in [(0, model.num_herbs), (0, 1), (7, 23), (model.num_herbs - 1, model.num_herbs)]:
-            part = model.score_sets(sets, herb_range=rng)
-            assert part.shape == (len(sets), rng[1] - rng[0])
-            np.testing.assert_array_equal(part, full[:, rng[0] : rng[1]])
-
-    def test_range_validation(self, tiny_split):
-        from repro.models import SMGCN, SMGCNConfig
-
-        train, _ = tiny_split
-        model = SMGCN.from_dataset(
-            train,
-            SMGCNConfig(
-                embedding_dim=8, layer_dims=(12,), symptom_threshold=2, herb_threshold=4, seed=0
-            ),
-        )
-        for bad in [(-1, 5), (5, 5), (8, 2), (0, model.num_herbs + 1)]:
-            with pytest.raises(ValueError, match="herb_range"):
-                model.score_sets([(0,)], herb_range=bad)

@@ -321,7 +321,8 @@ class TestApproxRetrievalRollout:
             )
             fresh_a = Pipeline.load(checkpoints["a"], retrieval="approx", candidate_factor=2)
             fresh_b = Pipeline.load(checkpoints["b"], retrieval="approx", candidate_factor=2)
-            assert catalog.entry("approx").pipeline.engine.retrieval_active
+            approx_engine = catalog.entry("approx").pipeline.engine
+            assert approx_engine.backend_status()["retrieval"] == "approx"
             assert catalog_answer(catalog, "approx") == answer(fresh_a)
             with catalog.entry("approx").lease() as old_pipeline:
                 old_engine = old_pipeline.engine

@@ -31,7 +31,7 @@ def approx_pipeline(pipeline, tmp_path_factory):
     path = tmp_path_factory.mktemp("serving-approx") / "smgcn.npz"
     pipeline.save(path)
     served = Pipeline.load(path, retrieval="approx", candidate_factor=2)
-    assert served.engine.retrieval_active
+    assert served.engine.backend_status()["retrieval"] == "approx"
     yield served
     served.close()
 

@@ -442,15 +442,21 @@ class TestShardingFlags:
         assert code == 2
         assert "--workers" in capsys.readouterr().err
 
-    def test_backend_without_shards_refused(self, capsys):
-        code = main(
-            ["predict", "--scale", "smoke", "--symptoms", "0", "--backend", "threads"]
-        )
-        assert code == 2
-        assert "--shards >= 2" in capsys.readouterr().err
-        code = main(["predict", "--scale", "smoke", "--symptoms", "0", "--workers", "2"])
-        assert code == 2
-        assert "--shards >= 2" in capsys.readouterr().err
+    def test_backend_at_one_shard_prints_the_default_answer(self, capsys):
+        argv = ["predict", "--scale", "smoke", "--symptoms", "0 3", "--k", "4",
+                "--epochs", "1", "--seed", "0"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--backend", "threads"]) == 0
+        assert capsys.readouterr().out == default
+
+    def test_workers_at_one_shard_accepted(self, capsys):
+        argv = ["predict", "--scale", "smoke", "--symptoms", "0 3", "--k", "4",
+                "--epochs", "1", "--seed", "0"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--backend", "processes", "--workers", "1"]) == 0
+        assert capsys.readouterr().out == default
 
     def test_unknown_backend_fails_before_training(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
@@ -534,11 +540,18 @@ class TestDistributedFlags:
         assert code == 2
         assert "host:port" in capsys.readouterr().err
 
-    def test_worker_addr_needs_sharding(self, capsys):
-        code = main(["predict", "--scale", "smoke", "--symptoms", "0",
-                     "--backend", "remote", "--worker-addr", "127.0.0.1:7801"])
-        assert code == 2
-        assert "--shards >= 2" in capsys.readouterr().err
+    def test_remote_worker_scores_at_one_shard(self, capsys):
+        from repro.inference import ShardWorkerServer
+
+        argv = ["predict", "--scale", "smoke", "--symptoms", "0 3", "--k", "4",
+                "--epochs", "1", "--seed", "0"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        with ShardWorkerServer() as worker:
+            host, port = worker.address
+            assert main(argv + ["--backend", "remote", "--worker-addr", f"{host}:{port}"]) == 0
+            assert capsys.readouterr().out == default
+            assert worker.handler.tasks_executed > 0
 
     def test_help_epilog_documents_distributed_serving(self):
         help_text = build_parser().format_help()
