@@ -41,7 +41,6 @@ FLOOD_MAX_PENDING = 32
 #: waiting at roughly (max_pending / batch size) flush cycles.
 FLOOD_P99_BOUND_MS = 1000.0
 MAX_BATCH = 64
-MAX_WAIT_MS = 2.0
 K = 10
 QUERIES = ["0 3", "1 2", "0 1 4", "2", "3 4", "1 3 4", "0 2", "2 4"]
 
@@ -57,9 +56,7 @@ def _build():
 def _serving_stack(pipeline, admission=None):
     stats = ServerStats()
     handler = RecommendationHandler(pipeline, k=K, stats=stats)
-    batcher = MicroBatcher(
-        handler, max_batch_size=MAX_BATCH, max_wait_ms=MAX_WAIT_MS, stats=stats
-    )
+    batcher = MicroBatcher(handler, max_batch_size=MAX_BATCH, stats=stats)
     server = AsyncSocketServer(
         batcher,
         stats=stats,

@@ -25,7 +25,6 @@ from repro.serving import MicroBatcher, RecommendationHandler, ServerStats
 NUM_CLIENTS = 8
 NUM_REQUESTS = {"smoke": 512, "default": 1024}
 MAX_BATCH = 64
-MAX_WAIT_MS = 2.0
 K = 10
 #: Best-of-N timing to keep the assertion stable on noisy CI machines.
 TIMING_REPEATS = 3
@@ -65,9 +64,7 @@ def _concurrent(handler, lines, stats):
     responses = [None] * len(lines)
 
     def run():
-        with MicroBatcher(
-            handler, max_batch_size=MAX_BATCH, max_wait_ms=MAX_WAIT_MS, stats=stats
-        ) as batcher:
+        with MicroBatcher(handler, max_batch_size=MAX_BATCH, stats=stats) as batcher:
             shards = [
                 list(enumerate(lines))[client::NUM_CLIENTS] for client in range(NUM_CLIENTS)
             ]
@@ -115,7 +112,7 @@ def measure(scale="smoke"):
 def _report(stats):
     return (
         f"scale={stats['scale']} requests={stats['num_requests']} "
-        f"clients={stats['num_clients']} max_batch={MAX_BATCH} max_wait={MAX_WAIT_MS}ms\n"
+        f"clients={stats['num_clients']} max_batch={MAX_BATCH}\n"
         f"sequential (batch of 1):  {stats['sequential_seconds']:.3f}s "
         f"({stats['sequential_rps']:.0f} req/s)\n"
         f"micro-batched:            {stats['concurrent_seconds']:.3f}s "

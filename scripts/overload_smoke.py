@@ -39,7 +39,6 @@ def _start_server(checkpoint: str, k: int, max_pending: int, client_quota: int):
             "--port", "0", "--k", str(k),
             "--max-pending", str(max_pending),
             "--client-quota", str(client_quota),
-            "--max-wait-ms", "5",
         ],
         stderr=subprocess.PIPE,
         text=True,

@@ -35,7 +35,6 @@ def _start_server(checkpoint_a: str, checkpoint_b: str, k: int):
             "--model", f"primary={checkpoint_a}",
             "--model", f"stable={checkpoint_b}",
             "--port", "0", "--k", str(k),
-            "--max-wait-ms", "10",
         ],
         stderr=subprocess.PIPE,
         text=True,

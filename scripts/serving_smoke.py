@@ -19,13 +19,12 @@ import sys
 import threading
 
 
-def _start_server(checkpoint: str, k: int, max_wait_ms: float):
+def _start_server(checkpoint: str, k: int):
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
             "--checkpoint", checkpoint,
             "--port", "0", "--k", str(k),
-            "--max-wait-ms", str(max_wait_ms),
         ],
         stderr=subprocess.PIPE,
         text=True,
@@ -77,7 +76,7 @@ def main() -> int:
         for query in queries
     }
 
-    process, host, port = _start_server(args.checkpoint, args.k, max_wait_ms=20.0)
+    process, host, port = _start_server(args.checkpoint, args.k)
     try:
         plans = [
             [queries[(client + round_) % len(queries)] for round_ in range(args.requests)]

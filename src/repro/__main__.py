@@ -1,8 +1,18 @@
 """``python -m repro`` entry point."""
 
+import os
 import sys
 
-from .cli import main
-
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["serve"]:
+        # A serve flush scores one SCORING_BLOCK of rows: too little work for
+        # a BLAS thread pool to speed up, and with a flush every few
+        # milliseconds OpenBLAS's idle worker spin-waits and keeps a whole
+        # core busy.  Serving scales out through --shards/--backend instead.
+        # OpenBLAS reads this only when numpy first loads it, so it is set
+        # here, before anything imports numpy; an explicit setting wins.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+    from .cli import main
+
     sys.exit(main())

@@ -20,10 +20,11 @@ bundle.  ``predict`` and ``serve`` answer top-k herb queries; given
 instead of retraining, otherwise they train first on the chosen scale.
 ``serve`` keeps the model resident and micro-batches requests — stdin lines
 by default (response N answers input line N, including ``error:`` lines), or
-TCP connections with ``--port`` — through one pooling matmul per flush
-(``--max-batch``/``--max-wait-ms``), reporting stats on shutdown.  TCP
-traffic runs on a single-threaded event loop with explicit admission
-control (``--max-connections``/``--max-pending``/``--client-quota``/
+TCP connections with ``--port`` — through one pooling matmul per flush,
+reporting stats on shutdown.  A flush starts whenever the scorer is free and
+takes up to ``--max-batch`` queued requests, so a lone request never waits
+on a timer.  TCP traffic runs on a single-threaded event loop with explicit
+admission control (``--max-connections``/``--max-pending``/``--client-quota``/
 ``--idle-timeout``), shedding overload with fast ``error: overloaded``
 lines instead of unbounded queueing.  Repeating
 ``--model NAME=checkpoint.npz`` serves a catalog of models side by side
@@ -82,7 +83,7 @@ examples:
   repro train --model SMGCN --scale smoke --checkpoint smgcn.npz --evaluate
   repro predict --checkpoint smgcn.npz --symptoms "symptom_003 17" --k 5
   echo "symptom_003 17" | repro serve --checkpoint smgcn.npz --k 10
-  repro serve --checkpoint smgcn.npz --port 7654 --max-batch 64 --max-wait-ms 5
+  repro serve --checkpoint smgcn.npz --port 7654 --max-batch 64
   repro serve --checkpoint smgcn.npz --port 7654 --max-connections 2000 \\
       --max-pending 256 --client-quota 16 --idle-timeout 60   # admission
   repro serve --checkpoint smgcn.npz --shards 4 --backend processes --workers 4
@@ -260,14 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch",
         type=int,
         default=64,
-        help="flush a batch as soon as this many requests are queued (default: 64)",
+        help="most queued requests one flush takes; a flush starts whenever "
+        "the scorer is free (default: 64)",
     )
     serve_parser.add_argument(
         "--max-wait-ms",
         type=float,
         default=5.0,
-        help="flush a partial batch once its oldest request has waited this "
-        "long (default: 5.0)",
+        help="deprecated, has no effect: batches no longer wait on a timer",
     )
 
     batch_parser = subparsers.add_parser(
@@ -911,12 +912,7 @@ def _run_serve(args) -> int:
 
     stats.set_backend_info(backend_info)
     handler = RecommendationHandler(catalog, k=args.k, stats=stats)
-    batcher = MicroBatcher(
-        handler,
-        max_batch_size=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        stats=stats,
-    )
+    batcher = MicroBatcher(handler, max_batch_size=args.max_batch, stats=stats)
     watcher = None
     if args.watch:
         watch_targets = dict(model_specs)

@@ -6,7 +6,7 @@ into batches that flush through one
 per catalog entry, with per-request futures, model routing, error isolation
 and live stats:
 
-* :class:`MicroBatcher` — size/timeout-triggered request aggregation;
+* :class:`MicroBatcher` — work-conserving request aggregation;
 * :class:`RecommendationHandler` — line/JSON protocol parsing, per-request
   ``model=NAME`` routing over a :class:`~repro.io.catalog.ModelCatalog`,
   batched scoring, canary mirroring;

@@ -1,19 +1,22 @@
 """Micro-batching request aggregator — many producers, one scoring call.
 
 :class:`MicroBatcher` queues requests submitted from any number of threads and
-flushes them through a single handler call when either ``max_batch_size``
-requests are pending or the oldest request has waited ``max_wait_ms``,
-whichever comes first.  Submitters get a :class:`concurrent.futures.Future`
-that resolves to their request's result, so per-request latency stays bounded
-while the expensive scoring matmul amortises over the whole batch.
+flushes them through a single handler call.  The flush rule is
+work-conserving: whenever the scorer is free and at least one request is
+queued, the next flush takes up to ``max_batch_size`` of them.  Requests that
+arrive during a flush form the next batch, so batches fill under load and
+shrink to one request when the server is idle — no timer ever holds a
+request back.  Submitters get a :class:`concurrent.futures.Future` that
+resolves to their request's result.
 
 Two drive modes:
 
 * **threaded** (production, the default): a daemon worker thread owns the
-  flush loop and sleeps between deadlines;
+  flush loop and sleeps only while the queue is empty;
 * **manual** (``start=False``): no thread is created and nothing flushes until
-  :meth:`poll` is called, which — combined with an injected ``clock`` — makes
-  flush timing fully deterministic for tests, no sleeps anywhere.
+  :meth:`poll` is called, which flushes everything pending — deterministic
+  for tests, no sleeps anywhere.  The injected ``clock`` only timestamps
+  requests for the latency stats.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ class MicroBatcher:
     ``handler`` receives the list of batch payloads and must return one
     result per payload (in order); each result resolves its request's future.
     If the handler raises, every future in that batch fails with the same
-    exception — per-request error isolation is the handler's contract (see
+    exception and ``stats`` counts each of its requests as an error —
+    per-request error isolation is the handler's contract (see
     :class:`~repro.serving.handler.RecommendationHandler`), the batcher's is
     that a failing batch can never kill the worker or hang a submitter.
     """
@@ -52,18 +56,14 @@ class MicroBatcher:
         self,
         handler: Callable[[List[Any]], Sequence[Any]],
         max_batch_size: int = 64,
-        max_wait_ms: float = 5.0,
         clock: Callable[[], float] = time.monotonic,
         stats: Optional[ServerStats] = None,
         start: bool = True,
     ) -> None:
         if max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
         self._handler = handler
         self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_ms / 1000.0
         self._clock = clock
         self._stats = stats
         self._pending: Deque[_Pending] = deque()
@@ -126,7 +126,7 @@ class MicroBatcher:
                     stuck = list(self._inflight)
                 self._fail(stuck, "MicroBatcher closed during a blocked flush")
         elif drain:
-            self.poll()  # manual mode: closing makes every pending request ready
+            self.poll()  # manual mode: flush what is still queued
 
     @staticmethod
     def _fail(requests: List[_Pending], reason: str) -> None:
@@ -163,40 +163,32 @@ class MicroBatcher:
     # Flushing
     # ------------------------------------------------------------------
     def poll(self) -> int:
-        """Flush every currently-ready batch in the calling thread.
+        """Flush every pending request in the calling thread.
 
-        Manual-mode drive for deterministic tests: readiness is evaluated
-        against the injected clock (size reached, oldest request past its
-        deadline, or the batcher closed).  Returns how many requests flushed.
+        Manual-mode drive for deterministic tests: pending requests go out in
+        chunks of at most ``max_batch_size``, oldest first.  Returns how many
+        requests flushed.
         """
         flushed = 0
         while True:
-            batch = self._take_batch(ready_only=True)
-            if not batch:
-                return flushed
+            with self._lock:
+                if not self._pending:
+                    return flushed
+                batch = self._take_batch_locked()
             self._flush(batch)
             flushed += len(batch)
 
-    def _take_batch(self, ready_only: bool) -> List[_Pending]:
-        with self._wakeup:
-            if not self._pending:
-                return []
-            if ready_only and not self._ready_locked():
-                return []
-            batch = [
-                self._pending.popleft()
-                for _ in range(min(self.max_batch_size, len(self._pending)))
-            ]
-            self._inflight = batch
-            return batch
-
-    def _ready_locked(self) -> bool:
-        if self._closed or len(self._pending) >= self.max_batch_size:
-            return True
-        return self._clock() - self._pending[0].enqueued_at >= self.max_wait_s
+    def _take_batch_locked(self) -> List[_Pending]:
+        batch = [
+            self._pending.popleft()
+            for _ in range(min(self.max_batch_size, len(self._pending)))
+        ]
+        self._inflight = batch
+        return batch
 
     def _flush(self, batch: List[_Pending]) -> None:
         payloads = [request.payload for request in batch]
+        failure: Optional[BaseException] = None
         try:
             results = list(self._handler(payloads))
             if len(results) != len(batch):
@@ -204,25 +196,25 @@ class MicroBatcher:
                     f"batch handler returned {len(results)} results for {len(batch)} requests"
                 )
         except BaseException as error:  # noqa: BLE001 — a batch must never kill the worker
-            for request in batch:
-                try:
-                    request.future.set_exception(error)
-                except InvalidStateError:
-                    pass  # already failed by a non-draining close
-            if self._stats is not None:
-                self._stats.record_batch(len(batch))
-            return
+            failure = error
         finally:
             with self._lock:
                 self._inflight = []
+        # count before resolving: a future's done-callback may put the answer
+        # (or its error line) on the wire, and the counters must already agree
         now = self._clock()
         if self._stats is not None:
             self._stats.record_batch(len(batch))
-        for request, result in zip(batch, results):
-            if self._stats is not None:
+            for request in batch:
                 self._stats.record_request(now - request.enqueued_at)
+                if failure is not None:
+                    self._stats.record_error()
+        for index, request in enumerate(batch):
             try:
-                request.future.set_result(result)
+                if failure is None:
+                    request.future.set_result(results[index])
+                else:
+                    request.future.set_exception(failure)
             except InvalidStateError:
                 pass  # a non-draining close failed this future while we scored
 
@@ -236,12 +228,5 @@ class MicroBatcher:
                     if self._closed:
                         return
                     self._wakeup.wait()
-                if not self._ready_locked():
-                    remaining = self.max_wait_s - (
-                        self._clock() - self._pending[0].enqueued_at
-                    )
-                    self._wakeup.wait(max(remaining, 0.0))
-                    continue  # re-evaluate readiness after the wait
-            batch = self._take_batch(ready_only=False)
-            if batch:
-                self._flush(batch)
+                batch = self._take_batch_locked()
+            self._flush(batch)

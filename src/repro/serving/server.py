@@ -43,7 +43,7 @@ def serve_lines(
     """Drain request lines through the batcher, answering in input order.
 
     A reader thread pulls ahead of the scorer so a piped burst queues many
-    requests at once (letting the batcher hit its size trigger), while the
+    requests at once (each flush takes up to a full batch of them), while the
     caller's thread writes responses strictly in submission order: response N
     always answers line N.  A blank line or EOF stops reading; everything
     already queued is still answered.  Returns how many requests were served.

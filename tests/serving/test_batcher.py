@@ -1,9 +1,10 @@
 """Deterministic MicroBatcher tests: injected fake clock, manual drive, no sleeps.
 
 The batcher is constructed with ``start=False`` so nothing runs in the
-background; flush timing is evaluated only when ``poll()`` is called, against
-a clock the test advances explicitly.  A final class exercises the threaded
-worker for real (futures block, still no ``sleep`` calls in the tests).
+background; nothing flushes until ``poll()`` is called, and the clock the
+test advances explicitly only feeds the latency stats.  A final class
+exercises the threaded worker for real (futures and ``Event`` gates
+synchronise, still no ``sleep`` calls in the tests).
 """
 
 import threading
@@ -49,7 +50,6 @@ def handler():
 
 def manual_batcher(handler, clock, **kwargs):
     kwargs.setdefault("max_batch_size", 3)
-    kwargs.setdefault("max_wait_ms", 100.0)
     return MicroBatcher(handler, clock=clock, start=False, **kwargs)
 
 
@@ -61,46 +61,45 @@ class TestSizeTrigger:
         assert handler.batches == [["r0", "r1", "r2"]]
         assert [f.result(timeout=0) for f in futures] == ["answer:r0", "answer:r1", "answer:r2"]
 
-    def test_no_flush_below_size_before_deadline(self, handler, clock):
-        batcher = manual_batcher(handler, clock)
-        batcher.submit("r0")
-        batcher.submit("r1")
-        assert batcher.poll() == 0
-        assert handler.batches == []
-        assert batcher.pending_count() == 2
-
     def test_oversized_burst_splits_into_max_size_batches(self, handler, clock):
+        # the clock never moves: flushing the 7 % 3 tail must not wait on time
         batcher = manual_batcher(handler, clock, max_batch_size=3)
         futures = [batcher.submit(f"r{i}") for i in range(7)]
-        clock.advance(1.0)  # make the 7 % 3 tail ready too
         assert batcher.poll() == 7
         assert [len(batch) for batch in handler.batches] == [3, 3, 1]
-        assert all(f.done() for f in futures)
+        assert [f.result(timeout=0) for f in futures] == [f"answer:r{i}" for i in range(7)]
+        assert batcher.pending_count() == 0
 
 
-class TestTimeoutTrigger:
-    def test_flushes_partial_batch_at_deadline(self, handler, clock):
-        batcher = manual_batcher(handler, clock, max_wait_ms=100.0)
-        futures = [batcher.submit("r0"), batcher.submit("r1")]
-        clock.advance(0.099)
-        assert batcher.poll() == 0, "just under the deadline must not flush"
-        clock.advance(0.001)
-        assert batcher.poll() == 2
-        assert handler.batches == [["r0", "r1"]]
-        assert [f.result(timeout=0) for f in futures] == ["answer:r0", "answer:r1"]
+class TestWorkConservingFlush:
+    """A free scorer flushes whatever is queued — no timer holds a request back."""
 
-    def test_deadline_measured_from_oldest_request(self, handler, clock):
-        batcher = manual_batcher(handler, clock, max_wait_ms=100.0)
-        batcher.submit("old")
-        clock.advance(0.09)
-        batcher.submit("new")
-        clock.advance(0.011)  # old past its 100ms deadline, new only 11ms in
-        assert batcher.poll() == 2, "the partial batch flushes with the oldest request"
+    def test_requests_arriving_during_a_flush_form_one_next_batch(self):
+        entered = threading.Event()
+        release = threading.Event()
+        batches = []
 
-    def test_zero_wait_flushes_any_pending(self, handler, clock):
-        batcher = manual_batcher(handler, clock, max_wait_ms=0.0)
-        batcher.submit("r0")
-        assert batcher.poll() == 1
+        def gated(payloads):
+            batches.append(list(payloads))
+            if len(batches) == 1:
+                entered.set()
+                assert release.wait(timeout=30), "the test never released the handler"
+            return [f"answer:{payload}" for payload in payloads]
+
+        with MicroBatcher(gated, max_batch_size=8) as batcher:
+            first = batcher.submit("first")
+            assert entered.wait(timeout=10), "the worker never flushed the lone request"
+            queued = [batcher.submit(f"q{i}") for i in range(5)]
+            release.set()
+            assert first.result(timeout=10) == "answer:first"
+            assert [f.result(timeout=10) for f in queued] == [f"answer:q{i}" for i in range(5)]
+        assert batches == [["first"], ["q0", "q1", "q2", "q3", "q4"]]
+
+    def test_threaded_lone_request_resolves_with_frozen_clock(self, handler, clock):
+        # a deadline timer measured against this clock would never fire
+        with MicroBatcher(handler, max_batch_size=64, clock=clock) as batcher:
+            assert batcher.submit("lone").result(timeout=5) == "answer:lone"
+        assert handler.batches == [["lone"]]
 
 
 class TestErrorHandling:
@@ -123,6 +122,28 @@ class TestErrorHandling:
         batcher.poll()
         assert [f.result(timeout=0) for f in healthy] == ["c", "d"]
 
+    def test_failed_batch_counts_every_request_before_its_future_fails(self, clock):
+        """Counters must match the wire: a front-end answers ``error: ...`` from
+        the future's done-callback, so by then the batch is already counted."""
+        stats = ServerStats()
+
+        def exploding(payloads):
+            raise RuntimeError("scoring exploded")
+
+        batcher = MicroBatcher(
+            exploding, max_batch_size=3, clock=clock, stats=stats, start=False
+        )
+        seen = []
+        futures = [batcher.submit(f"r{i}") for i in range(3)]
+        for future in futures:
+            future.add_done_callback(lambda f: seen.append((stats.requests, stats.errors)))
+        assert batcher.poll() == 3
+        assert seen == [(3, 3)] * 3
+        assert stats.batches == 1
+        for future in futures:
+            with pytest.raises(RuntimeError, match="scoring exploded"):
+                future.result(timeout=0)
+
     def test_wrong_result_count_is_an_error(self, clock):
         batcher = MicroBatcher(lambda payloads: ["only one"], max_batch_size=2, clock=clock, start=False)
         future = batcher.submit("a")
@@ -136,7 +157,7 @@ class TestShutdown:
     def test_close_drains_pending_queue(self, handler, clock):
         batcher = manual_batcher(handler, clock)
         futures = [batcher.submit("r0"), batcher.submit("r1")]
-        batcher.close()  # neither size nor deadline reached — drain anyway
+        batcher.close()  # never polled — close drains anyway
         assert handler.batches == [["r0", "r1"]]
         assert [f.result(timeout=0) for f in futures] == ["answer:r0", "answer:r1"]
 
@@ -164,8 +185,6 @@ class TestValidationAndStats:
     def test_rejects_bad_parameters(self, handler, clock):
         with pytest.raises(ValueError):
             MicroBatcher(handler, max_batch_size=0, start=False)
-        with pytest.raises(ValueError):
-            MicroBatcher(handler, max_wait_ms=-1.0, start=False)
 
     def test_records_batches_and_latencies(self, handler, clock):
         stats = ServerStats()
@@ -193,7 +212,7 @@ class TestThreadedMode:
     """The worker thread path: real clock, futures synchronise (no sleeps)."""
 
     def test_concurrent_producers_all_answered(self, handler):
-        with MicroBatcher(handler, max_batch_size=8, max_wait_ms=5.0) as batcher:
+        with MicroBatcher(handler, max_batch_size=8) as batcher:
             results = {}
 
             def producer(name):
@@ -210,7 +229,7 @@ class TestThreadedMode:
         assert sum(len(batch) for batch in handler.batches) == 16
 
     def test_start_twice_rejected(self, handler):
-        batcher = MicroBatcher(handler, max_wait_ms=1.0)
+        batcher = MicroBatcher(handler)
         try:
             with pytest.raises(RuntimeError, match="already running"):
                 batcher.start()
@@ -218,18 +237,10 @@ class TestThreadedMode:
             batcher.close()
 
     def test_threaded_close_drains(self, handler):
-        batcher = MicroBatcher(handler, max_batch_size=100, max_wait_ms=60_000.0)
+        batcher = MicroBatcher(handler, max_batch_size=100)
         future = batcher.submit("queued")
-        batcher.close()  # deadline far away — close must still answer it
+        batcher.close()
         assert future.result(timeout=0) == "answer:queued"
-
-    def test_threaded_close_without_drain_fails_queued_futures(self, handler):
-        batcher = MicroBatcher(handler, max_batch_size=100, max_wait_ms=60_000.0)
-        futures = [batcher.submit(f"q{i}") for i in range(3)]
-        batcher.close(drain=False)
-        for future in futures:
-            with pytest.raises(RuntimeError, match="closed before flush"):
-                future.result(timeout=5)
 
     def test_close_without_drain_fails_batch_stuck_in_blocked_flush(self):
         """Regression: shutdown must not hang waiters behind a wedged handler.
@@ -248,7 +259,7 @@ class TestThreadedMode:
             assert release.wait(timeout=30), "test teardown never released the handler"
             return [f"late:{payload}" for payload in batch]
 
-        batcher = MicroBatcher(wedged, max_batch_size=1, max_wait_ms=0.0)
+        batcher = MicroBatcher(wedged, max_batch_size=1)
         stuck = batcher.submit("a")
         assert entered.wait(timeout=10), "the worker never picked up the first payload"
         queued = [batcher.submit("b"), batcher.submit("c")]
@@ -272,7 +283,7 @@ class TestThreadedMode:
             release.wait(timeout=30)
             return [f"answer:{payload}" for payload in batch]
 
-        batcher = MicroBatcher(slow, max_batch_size=1, max_wait_ms=0.0)
+        batcher = MicroBatcher(slow, max_batch_size=1)
         stuck = batcher.submit("a")
         assert entered.wait(timeout=10)
         batcher.close(drain=False, timeout=0.1)

@@ -64,7 +64,7 @@ class GatedHandler:
 def echo_stack():
     """An echo server behind the event-loop front-end."""
     stats = ServerStats()
-    batcher = MicroBatcher(echo_handler, max_batch_size=16, max_wait_ms=2.0, stats=stats)
+    batcher = MicroBatcher(echo_handler, max_batch_size=16, stats=stats)
     server = AsyncSocketServer(batcher, stats=stats).start()
     yield server, stats
     server.stop()
@@ -74,7 +74,6 @@ def echo_stack():
 def make_async(handler, admission=None, control=None, **batcher_kwargs):
     stats = ServerStats()
     batcher_kwargs.setdefault("max_batch_size", 16)
-    batcher_kwargs.setdefault("max_wait_ms", 2.0)
     batcher = MicroBatcher(handler, stats=stats, **batcher_kwargs)
     server = AsyncSocketServer(
         batcher, stats=stats, control=control, admission=admission
@@ -157,7 +156,7 @@ class TestLineBound:
     @pytest.fixture()
     def bounded(self, request):
         stats = ServerStats()
-        batcher = MicroBatcher(echo_handler, max_batch_size=16, max_wait_ms=2.0, stats=stats)
+        batcher = MicroBatcher(echo_handler, max_batch_size=16, stats=stats)
         server = AsyncSocketServer(
             batcher,
             stats=stats,
@@ -215,7 +214,7 @@ class TestAsyncScoringParity:
     def async_stack(self, serving_pipeline):
         stats = ServerStats()
         handler = RecommendationHandler(serving_pipeline, k=5, stats=stats)
-        batcher = MicroBatcher(handler, max_batch_size=64, max_wait_ms=10.0, stats=stats)
+        batcher = MicroBatcher(handler, max_batch_size=64, stats=stats)
         server = AsyncSocketServer(batcher, stats=stats).start()
         stats.set_backend_info(serving_pipeline.engine.backend_status)
         yield server, stats

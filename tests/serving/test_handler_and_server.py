@@ -112,7 +112,7 @@ class TestSocketServer:
     def serving_stack(self, serving_pipeline):
         stats = ServerStats()
         handler = RecommendationHandler(serving_pipeline, k=5, stats=stats)
-        batcher = MicroBatcher(handler, max_batch_size=64, max_wait_ms=25.0, stats=stats)
+        batcher = MicroBatcher(handler, max_batch_size=64, stats=stats)
         server = AsyncSocketServer(batcher, stats=stats).start()
         stats.set_backend_info(serving_pipeline.engine.backend_status)
         yield server, stats
@@ -228,7 +228,7 @@ class TestSocketServer:
         """Shutdown must wake the parked event loop, not sit out the join timeout."""
         import time
 
-        batcher = MicroBatcher(RecommendationHandler(pipeline, k=5), max_wait_ms=1.0)
+        batcher = MicroBatcher(RecommendationHandler(pipeline, k=5))
         server = AsyncSocketServer(batcher).start()
         time.sleep(0.05)  # let the loop park in select()
         started = time.monotonic()
@@ -240,7 +240,7 @@ class TestSocketServer:
 
     def test_stop_refuses_new_connections(self, pipeline):
         stats = ServerStats()
-        batcher = MicroBatcher(RecommendationHandler(pipeline, k=5), max_wait_ms=1.0)
+        batcher = MicroBatcher(RecommendationHandler(pipeline, k=5))
         server = AsyncSocketServer(batcher).start()
         address = server.address
         server.stop()

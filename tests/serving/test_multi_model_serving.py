@@ -200,7 +200,7 @@ class TestSocketIntegration:
     ):
         stats = ServerStats()
         handler = RecommendationHandler(catalog, k=5, stats=stats)
-        batcher = MicroBatcher(handler, max_batch_size=16, max_wait_ms=2.0, stats=stats)
+        batcher = MicroBatcher(handler, max_batch_size=16, stats=stats)
         control = CatalogControl(catalog)
         server = AsyncSocketServer(batcher, stats=stats, control=control.handle).start()
         try:

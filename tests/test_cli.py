@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import runpy
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -19,6 +23,37 @@ class TestParser:
         args = build_parser().parse_args(["run", "table2"])
         assert args.scale == "smoke"
         assert args.output is None
+
+
+class TestEntryPoint:
+    """``python -m repro serve`` runs BLAS single-threaded; nothing else changes."""
+
+    BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+
+    def _run(self, monkeypatch, argv):
+        monkeypatch.setattr(sys, "argv", ["repro", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("repro", run_name="__main__")
+        return exit_info.value.code
+
+    def _unset(self, monkeypatch):
+        monkeypatch.setenv(self.BLAS_THREADS, "0")  # so teardown restores the real value
+        monkeypatch.delenv(self.BLAS_THREADS)
+
+    def test_serve_defaults_blas_to_one_thread(self, monkeypatch, capsys):
+        self._unset(monkeypatch)
+        assert self._run(monkeypatch, ["serve", "--max-batch", "0"]) == 2
+        assert os.environ[self.BLAS_THREADS] == "1"
+
+    def test_explicit_blas_threads_win(self, monkeypatch, capsys):
+        monkeypatch.setenv(self.BLAS_THREADS, "2")
+        assert self._run(monkeypatch, ["serve", "--max-batch", "0"]) == 2
+        assert os.environ[self.BLAS_THREADS] == "2"
+
+    def test_other_commands_leave_blas_threads_alone(self, monkeypatch, capsys):
+        self._unset(monkeypatch)
+        assert self._run(monkeypatch, ["list"]) == 0
+        assert self.BLAS_THREADS not in os.environ
 
 
 class TestCommands:
