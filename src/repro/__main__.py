@@ -5,12 +5,12 @@ import sys
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["serve"]:
-        # A serve flush scores one SCORING_BLOCK of rows: too little work for
-        # a BLAS thread pool to speed up, and with a flush every few
-        # milliseconds OpenBLAS's idle worker spin-waits and keeps a whole
-        # core busy.  Serving scales out through --shards/--backend instead.
+        # With a flush per request, OpenBLAS's idle worker spin-waits and
+        # keeps a whole core busy; over a small vocabulary one thread scores
+        # a flush just as fast.  A large vocabulary does gain from BLAS
+        # threads (see docs/SERVING.md), so an explicit setting wins.
         # OpenBLAS reads this only when numpy first loads it, so it is set
-        # here, before anything imports numpy; an explicit setting wins.
+        # here, before anything imports numpy.
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
     from .cli import main

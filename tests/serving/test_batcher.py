@@ -74,6 +74,20 @@ class TestSizeTrigger:
 class TestWorkConservingFlush:
     """A free scorer flushes whatever is queued — no timer holds a request back."""
 
+    def test_partial_batch_flushes_with_the_oldest_request(self, handler, clock):
+        batcher = manual_batcher(handler, clock)
+        batcher.submit("old")
+        clock.advance(0.09)
+        batcher.submit("new")
+        assert batcher.poll() == 2, "a partial batch flushes together with the oldest request"
+        assert handler.batches == [["old", "new"]]
+
+    def test_lone_request_flushes_on_poll(self, handler, clock):
+        batcher = manual_batcher(handler, clock)
+        batcher.submit("r0")
+        assert batcher.poll() == 1
+        assert handler.batches == [["r0"]]
+
     def test_requests_arriving_during_a_flush_form_one_next_batch(self):
         entered = threading.Event()
         release = threading.Event()

@@ -2,10 +2,12 @@
 
 import os
 import runpy
+import subprocess
 import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.experiments import EXPERIMENTS
 
@@ -54,6 +56,15 @@ class TestEntryPoint:
         self._unset(monkeypatch)
         assert self._run(monkeypatch, ["list"]) == 0
         assert self.BLAS_THREADS not in os.environ
+
+    def test_importing_the_package_does_not_load_numpy(self):
+        # OpenBLAS reads the thread setting once, when numpy first loads it:
+        # the entry point can only set it if ``import repro`` leaves numpy alone.
+        code = "import sys, repro; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestCommands:
